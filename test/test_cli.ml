@@ -379,6 +379,75 @@ let test_cache_round_trip () =
   Alcotest.(check string) "recompiled output identical" cold recovered;
   Sys.remove cache
 
+(* Golden output pins: gvnopt's exit code and full stdout over the example
+   programs plus the hand-written corpus (one batch), per flag set, byte
+   for byte. Snapshots live in test/golden/NAME.out; after an intended
+   output change, regenerate them with
+     GVNOPT_GOLDEN_DIR=$PWD/test/golden dune test
+   and review the diff. Validation overhead is wall time, so it is masked. *)
+
+let golden_sets =
+  [
+    ("default", []);
+    ("stats", [ "--stats" ]);
+    ("gcm-dump", [ "--gcm=dump" ]);
+    ("check-validate-gcm", [ "--check"; "--validate=all"; "--gcm=check" ]);
+    ("lint-analyze", [ "--lint"; "--analyze=all" ]);
+    ("pred-stats", [ "--pred=stats" ]);
+    ("schedule-dump", [ "--schedule=dump" ]);
+  ]
+
+let golden_inputs () =
+  let dir = Filename.concat (Filename.concat ".." "examples") "programs" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> Filename.check_suffix n ".mc")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  examples
+  @ [ write_tmp "golden_corpus.mc" (String.concat "\n" (List.map snd Workload.Corpus.all_named)) ]
+
+let mask_overhead s =
+  let key = "overhead " in
+  let nk = String.length key and n = String.length s in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else if i + nk <= n && String.sub s i nk = key then begin
+      Buffer.add_string b "overhead N.NNNNs";
+      let j = ref (i + nk) in
+      while !j < n && s.[!j] <> 's' do incr j done;
+      go (!j + 1)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let golden_run args =
+  let code, out = run_capture (args @ golden_inputs ()) in
+  Printf.sprintf "exit %d\n%s" code (mask_overhead out)
+
+let test_golden (name, args) () =
+  let got = golden_run args in
+  match Sys.getenv_opt "GVNOPT_GOLDEN_DIR" with
+  | Some dir ->
+      let oc = open_out_bin (Filename.concat dir (name ^ ".out")) in
+      output_string oc got;
+      close_out oc
+  | None ->
+      let ic = open_in_bin (Filename.concat "golden" (name ^ ".out")) in
+      let want = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) (name ^ " snapshot") want got;
+      (* The pool must never change a byte. *)
+      if name = "default" || name = "check-validate-gcm" then
+        Alcotest.(check string) (name ^ " under --jobs=2") want (golden_run ("--jobs=2" :: args))
+
 let test_exit_parse_error () =
   let p = write_tmp "broken.mc" "routine f( { this is not mini-C" in
   Alcotest.(check int) "parse error" 2 (run [ p ])
@@ -416,3 +485,7 @@ let suite =
     Alcotest.test_case "exit 2 on parse errors" `Quick test_exit_parse_error;
     Alcotest.test_case "exit 2 on usage errors" `Quick test_exit_usage_error;
   ]
+  @ List.map
+      (fun ((name, _) as set) ->
+        Alcotest.test_case ("golden output: " ^ name) `Quick (test_golden set))
+      golden_sets
