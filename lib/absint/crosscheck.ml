@@ -28,7 +28,8 @@
    Soundness discipline of the replay: both sides over-approximate, so a
    claim is flagged only when the interval semantics *definitely* refutes
    it — never on mere disagreement of precision. Claims are skipped at
-   blocks the interval analysis already proved unexecutable, when a refined
+   blocks the interval analysis already proved unexecutable (or that a
+   dominating [x = y] edge proves dead with disjoint intervals), when a refined
    environment is bottom (the conjunction of dominating guards is already
    absurd, so the claim is vacuous), and when an operand's definition does
    not dominate the claim site (its interval does not constrain the
@@ -83,12 +84,45 @@ let run ?ranges (st : Pgvn.State.t) : report =
     contras := { site; claim; refutation } :: !contras
   in
   let env b v = Ranges.env_at res b v in
+  (* The interval refinement only knows value-versus-constant guards, but
+     the engine's value inference also uses a dominating [x = y] edge. When
+     the two intervals are disjoint at [b], that edge proves [b] dead, and
+     any claim there is vacuous: the engine may soundly derive facts the
+     intervals exclude. *)
+  let equated e =
+    let edge = Ir.Func.edge f e in
+    match Ir.Func.instr f (Ir.Func.terminator_of_block f edge.Ir.Func.src) with
+    | Ir.Func.Branch c -> (
+        match (Ir.Func.instr f c, edge.Ir.Func.src_ix) with
+        | Ir.Func.Cmp (Ir.Types.Eq, x, y), 0 | Ir.Func.Cmp (Ir.Types.Ne, x, y), 1 -> Some (x, y)
+        | _ -> None)
+    | _ -> None
+  in
+  let rec dead_by_equality b d =
+    d >= 0
+    && ((match (Ir.Func.block f d).Ir.Func.preds with
+        | [| e |] -> (
+            match equated e with
+            | Some (x, y) -> Itv.is_bottom (Itv.meet (env b x) (env b y))
+            | None -> false)
+        | _ -> false)
+       || dead_by_equality b dom.Analysis.Dom.idom.(d))
+  in
+  let memo = Array.make (Ir.Func.num_blocks f) None in
+  let live b =
+    match memo.(b) with
+    | Some l -> l
+    | None ->
+        let l = res.Ranges.block_exec.(b) && not (dead_by_equality b b) in
+        memo.(b) <- Some l;
+        l
+  in
 
   (* --- decided branches ------------------------------------------------ *)
   let branches_checked = ref 0 in
   let check_branch (db : Pgvn.Driver.decided_branch) =
     let b = db.Pgvn.Driver.db_block in
-    if res.Ranges.block_exec.(b) then begin
+    if live b then begin
       let cond = env b db.Pgvn.Driver.db_cond in
       if not (Itv.is_bottom cond) then begin
         incr branches_checked;
@@ -150,7 +184,7 @@ let run ?ranges (st : Pgvn.State.t) : report =
   in
   let check_inference (inf : Pgvn.Run_stats.inference) =
     let b = inf.Pgvn.Run_stats.inf_block in
-    if res.Ranges.block_exec.(b) then
+    if live b then
       match (atom_itv b inf.Pgvn.Run_stats.inf_a, atom_itv b inf.Pgvn.Run_stats.inf_b) with
       | Some ia, Some ib when not (Itv.is_bottom ia || Itv.is_bottom ib) -> (
           incr inferences_checked;
@@ -178,7 +212,7 @@ let run ?ranges (st : Pgvn.State.t) : report =
   let pred_checked = ref 0 in
   let check_pred_inference (pi : Pgvn.Run_stats.pred_inference) =
     let b = pi.Pgvn.Run_stats.pinf_block in
-    if res.Ranges.block_exec.(b) then begin
+    if live b then begin
       let verdict = pi.Pgvn.Run_stats.pinf_verdict in
       let query_s =
         Fmt.str "%s %s %s"
@@ -254,7 +288,7 @@ let run ?ranges (st : Pgvn.State.t) : report =
   Array.iteri
     (fun b p ->
       match p with
-      | Some p when res.Ranges.block_exec.(b) && st.Pgvn.State.reach_block.(b) -> (
+      | Some p when live b && st.Pgvn.State.reach_block.(b) -> (
           incr phi_preds_checked;
           match eval_pred b p with
           | Some false ->
@@ -267,7 +301,10 @@ let run ?ranges (st : Pgvn.State.t) : report =
   (* --- constants -------------------------------------------------------- *)
   let constants_checked = ref 0 in
   for v = 0 to Ir.Func.num_instrs f - 1 do
-    if Ir.Func.defines_value (Ir.Func.instr f v) && not (Pgvn.Driver.value_unreachable st v)
+    if
+      Ir.Func.defines_value (Ir.Func.instr f v)
+      && (not (Pgvn.Driver.value_unreachable st v))
+      && live (Ir.Func.block_of_instr f v)
     then
       match Pgvn.Driver.value_constant st v with
       | Some k ->

@@ -879,6 +879,30 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
   end;
   let max_passes = 40 + (4 * Ir.Func.num_blocks f) in
   let continue_loop = ref true in
+  (* The inference claims made while evaluating each instruction. A later
+     optimistic pass re-evaluates an instruction under refined assumptions
+     (say, a second reachable in-edge) and may no longer make a claim; the
+     re-evaluation drops every earlier record it does not make again, so
+     the recorded claims are those of the final state. *)
+  let ni = Ir.Func.num_instrs f in
+  let claims = Array.make ni [] and pred_claims = Array.make ni [] in
+  let supersede old fresh = fresh @ List.filter (fun c -> List.mem c fresh) old in
+  let evaluate b i =
+    let s = st.stats in
+    s.Run_stats.inferences <- [];
+    s.Run_stats.pred_inferences <- [];
+    let ins = Ir.Func.instr st.f i in
+    let changed =
+      if Ir.Func.defines_value ins then congruence_finding st i (symbolic_eval st b i ins)
+      else
+        match ins with
+        | Ir.Func.Jump | Ir.Func.Branch _ | Ir.Func.Switch _ -> process_outgoing_edges st b
+        | _ -> false
+    in
+    claims.(i) <- supersede claims.(i) s.Run_stats.inferences;
+    pred_claims.(i) <- supersede pred_claims.(i) s.Run_stats.pred_inferences;
+    changed
+  in
   Fun.protect ~finally:(fun () ->
       match (obs, run_span) with
       | Some o, Some sp ->
@@ -919,16 +943,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
             untouch_instr st i;
             if st.reach_block.(b) then begin
               st.stats.Run_stats.instrs_processed <- st.stats.Run_stats.instrs_processed + 1;
-              let ins = Ir.Func.instr st.f i in
-              if Ir.Func.defines_value ins then begin
-                let e = symbolic_eval st b i ins in
-                if congruence_finding st i e then pass_changed := true
-              end
-              else
-                match ins with
-                | Ir.Func.Jump | Ir.Func.Branch _ | Ir.Func.Switch _ ->
-                    if process_outgoing_edges st b then pass_changed := true
-                | _ -> ()
+              if evaluate b i then pass_changed := true
             end
           end)
         instrs
@@ -942,6 +957,9 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
          routine, not just the affected instructions. *)
       touch_everything st
   done;
+  let collect a = Array.fold_left (fun acc l -> l @ acc) [] a in
+  st.stats.Run_stats.inferences <- collect claims;
+  st.stats.Run_stats.pred_inferences <- collect pred_claims;
   st
 
 (* ------------------------------------------------------------------ *)

@@ -47,12 +47,12 @@ type t = {
   mutable class_moves : int;
   mutable table_probes : int; (* TABLE lookups during congruence finding *)
   mutable table_hits : int; (* probes answered by an existing class *)
-  mutable inferences : inference list; (* most recent first *)
+  mutable inferences : inference list; (* the final state's claims *)
   mutable pred_closure_queries : int; (* closure fallbacks attempted *)
   mutable pred_decided_true : int;
   mutable pred_decided_false : int;
   mutable pred_contradictions : int; (* contradictory fact conjunctions seen *)
-  mutable pred_inferences : pred_inference list; (* most recent first *)
+  mutable pred_inferences : pred_inference list; (* the final state's claims *)
 }
 
 let create () =

@@ -40,12 +40,14 @@ type t = {
   mutable class_moves : int;
   mutable table_probes : int;  (** TABLE lookups during congruence finding *)
   mutable table_hits : int;  (** probes answered by an existing class *)
-  mutable inferences : inference list;  (** most recent first *)
+  mutable inferences : inference list;
+      (** the claims the final evaluation of each instruction makes, one
+          record per evaluation that made it *)
   mutable pred_closure_queries : int;  (** closure fallbacks attempted *)
   mutable pred_decided_true : int;
   mutable pred_decided_false : int;
   mutable pred_contradictions : int;  (** contradictory conjunctions seen *)
-  mutable pred_inferences : pred_inference list;  (** most recent first *)
+  mutable pred_inferences : pred_inference list;  (** kept like [inferences] *)
 }
 
 val create : unit -> t

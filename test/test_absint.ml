@@ -383,6 +383,18 @@ let prop_crosscheck_generated =
       let st = Pgvn.Driver.run Pgvn.Config.full f in
       Absint.Crosscheck.ok (Absint.Crosscheck.run st))
 
+let test_crosscheck_superseded_claims () =
+  (* Generated routines where an optimistic pass decides a comparison from
+     the sole reachable in-edge's predicate, and a later pass reaches the
+     block along a second edge and re-evaluates the comparison as unknown.
+     The superseded claim must not survive into the replay. *)
+  List.iter
+    (fun seed ->
+      let f = Workload.Generator.func ~seed ~name:"xc" () in
+      let st = Pgvn.Driver.run Pgvn.Config.full f in
+      assert_crosscheck_clean (Printf.sprintf "seed %d" seed) (Absint.Crosscheck.run st))
+    [ 104; 210; 544 ]
+
 let test_pipeline_crosscheck_hook () =
   (* The pipeline integration: every GVN pass instance is cross-checked
      before its rewrite is applied, and the reports ride on the result. *)
@@ -447,6 +459,8 @@ let suite =
         test_crosscheck_corpus;
       Alcotest.test_case "crosscheck: ten benchmarks, zero contradictions" `Quick
         test_crosscheck_benchmarks;
+      Alcotest.test_case "crosscheck: superseded optimistic claims are dropped" `Quick
+        test_crosscheck_superseded_claims;
       Alcotest.test_case "crosscheck: pipeline hook reports every GVN pass" `Quick
         test_pipeline_crosscheck_hook;
       Alcotest.test_case "crosscheck: seeded inference fault is caught" `Quick
