@@ -41,7 +41,7 @@ let time_min ~name ~repeats f =
    "pipeline" span, [gvn_seconds] the kind-matched GVN pass spans. *)
 let pipeline_times config funcs =
   let opts = Transform.Pipeline.Options.(default |> with_config config |> with_obs obs) in
-  let passes = Transform.Pipeline.standard_passes opts in
+  let passes = Transform.Pipeline.standard_passes () in
   let hlo = ref 0.0 and gvn = ref 0.0 in
   List.iter
     (fun f ->
@@ -563,7 +563,7 @@ type gcm_stat = {
 
 let gcm_stats_pass suite =
   let opts = Transform.Pipeline.Options.(default |> with_obs obs) in
-  let passes = Transform.Pipeline.standard_passes opts in
+  let passes = Transform.Pipeline.standard_passes () in
   List.map
     (fun ((b : Workload.Suite.benchmark), funcs) ->
       let optimized =
@@ -590,7 +590,8 @@ let gcm_stats_pass suite =
       and blocked = ref 0 in
       List.iter
         (fun f ->
-          let g, s = gcm f in
+          let g, p = gcm f in
+          let s = Transform.Gcm.stats p in
           let d = Validate.Equiv.check ~pass:"gcm" f g in
           if not (Validate.Equiv.ok d) then
             failwith
@@ -890,7 +891,7 @@ let validate_section suite =
     Hashtbl.replace h k (dt +. try Hashtbl.find h k with Not_found -> 0.0)
   in
   let opts = Transform.Pipeline.Options.(default |> with_validate Validate.All |> with_obs obs) in
-  let passes = Transform.Pipeline.standard_passes opts in
+  let passes = Transform.Pipeline.standard_passes () in
   let combined = ref Validate.Report.empty in
   List.iter
     (fun f ->

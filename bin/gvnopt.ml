@@ -17,12 +17,12 @@
      gvnopt --rules=dump                   print the rewrite-rule catalog
      gvnopt --rules=verify                 run the rule-soundness verifier
      gvnopt --rules=off file.mc            optimize without the rule catalog
-     gvnopt --schedule file.mc             certify the identity placement
+     gvnopt file.mc --schedule             certify the identity placement
                                            with the schedule-legality checker
      gvnopt --schedule=dump file.mc        per-value early/best/late blocks
                                            and speculation safety
      gvnopt --schedule=lint file.mc        hoist/sink opportunity lints
-     gvnopt --gcm file.mc                  global code motion after GVN:
+     gvnopt file.mc --gcm                  global code motion after GVN:
                                            certified placement rewrite +
                                            observable-behavior diff
      gvnopt --gcm=dump file.mc             + every move (hoist/sink)
@@ -75,7 +75,11 @@ type analyze_mode = Agvn | Aconst | Arange | Aall
    identity placement with the independent legality checker. *)
 type schedule_mode = Sdump | Scheck | Slint
 
-(* --pred sub-modes: check, dump, stats — see [pred_conv] below. *)
+(* --pred sub-modes: all three enable the multi-fact implication closure
+   in the engine and statically cross-check every closure verdict against
+   the interval analysis and the single-fact walk; a contradiction fails
+   the run. [Pcheck] (the bare-flag default) reports only the cross-check;
+   dump adds the per-block dominating facts, stats the closure counters. *)
 type pred_mode = Pcheck | Pdump | Pstats
 
 (* --gcm sub-modes: [Gcheck] (the bare-flag default) additionally diffs
@@ -86,59 +90,28 @@ type gcm_mode = Gcheck | Gdump
 
 type action = Optimize | Analyze of analyze_mode | Schedule of schedule_mode | Pred of pred_mode
 
-let gcm_conv =
-  let parse = function
-    | "check" -> Ok Gcheck
-    | "dump" -> Ok Gdump
-    | s -> Error (`Msg (Printf.sprintf "unknown gcm mode %S (check, dump)" s))
-  in
-  let print ppf m = Fmt.string ppf (match m with Gcheck -> "check" | Gdump -> "dump") in
-  Arg.conv (parse, print)
-
-let schedule_conv =
-  let parse = function
-    | "dump" -> Ok Sdump
-    | "check" -> Ok Scheck
-    | "lint" -> Ok Slint
-    | s -> Error (`Msg (Printf.sprintf "unknown schedule mode %S (dump, check, lint)" s))
-  in
-  let print ppf m =
-    Fmt.string ppf (match m with Sdump -> "dump" | Scheck -> "check" | Slint -> "lint")
-  in
-  Arg.conv (parse, print)
-
-(* --pred sub-modes: all three enable the multi-fact implication closure
-   in the engine and statically cross-check every closure verdict against
-   the interval analysis and the single-fact walk; a contradiction fails
-   the run. [Pcheck] (the bare-flag default) reports only the cross-check;
-   dump adds the per-block dominating facts, stats the closure counters. *)
-let pred_conv =
-  let parse = function
-    | "check" -> Ok Pcheck
-    | "dump" -> Ok Pdump
-    | "stats" -> Ok Pstats
-    | s -> Error (`Msg (Printf.sprintf "unknown pred mode %S (check, dump, stats)" s))
-  in
-  let print ppf m =
-    Fmt.string ppf (match m with Pcheck -> "check" | Pdump -> "dump" | Pstats -> "stats")
-  in
-  Arg.conv (parse, print)
-
 (* --rules sub-modes: dump and verify are standalone (no input file);
    off runs the pipeline with the declarative catalog disabled. *)
 type rules_mode = Rdump | Rverify | Roff
 
-let rules_conv =
-  let parse = function
-    | "dump" -> Ok Rdump
-    | "verify" -> Ok Rverify
-    | "off" -> Ok Roff
-    | s -> Error (`Msg (Printf.sprintf "unknown rules mode %S (dump, verify, off)" s))
+(* A flag's named modes; an unknown name is a usage error listing them. *)
+let mode_conv what modes =
+  let parse s =
+    match List.assoc_opt s modes with
+    | Some m -> Ok m
+    | None ->
+        let names = String.concat ", " (List.map fst modes) in
+        Error (`Msg (Printf.sprintf "unknown %s %S (%s)" what s names))
   in
-  let print ppf m =
-    Fmt.string ppf (match m with Rdump -> "dump" | Rverify -> "verify" | Roff -> "off")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf m -> Fmt.string ppf (fst (List.find (fun (_, m') -> m' = m) modes)))
+
+let analyze_conv =
+  mode_conv "analysis" [ ("gvn", Agvn); ("const", Aconst); ("range", Arange); ("all", Aall) ]
+
+let schedule_conv = mode_conv "schedule mode" [ ("dump", Sdump); ("check", Scheck); ("lint", Slint) ]
+let pred_conv = mode_conv "pred mode" [ ("check", Pcheck); ("dump", Pdump); ("stats", Pstats) ]
+let gcm_conv = mode_conv "gcm mode" [ ("check", Gcheck); ("dump", Gdump) ]
+let rules_conv = mode_conv "rules mode" [ ("dump", Rdump); ("verify", Rverify); ("off", Roff) ]
 
 let dump_rules () =
   List.iter (fun r -> Fmt.pr "%a@." Rules.Pattern.pp_rule r) Rules.catalog;
@@ -150,20 +123,6 @@ let verify_rules () =
   let report = Rules.Verify.verify_all ~seed:0x5eed Rules.catalog in
   Fmt.pr "%a@." Rules.Verify.pp_report report;
   if Rules.Verify.ok report then 0 else 1
-
-let analyze_conv =
-  let parse = function
-    | "gvn" -> Ok Agvn
-    | "const" -> Ok Aconst
-    | "range" -> Ok Arange
-    | "all" -> Ok Aall
-    | s -> Error (`Msg (Printf.sprintf "unknown analysis %S (gvn, const, range, all)" s))
-  in
-  let print ppf m =
-    Fmt.string ppf
-      (match m with Agvn -> "gvn" | Aconst -> "const" | Arange -> "range" | Aall -> "all")
-  in
-  Arg.conv (parse, print)
 
 (* The preset and pruning vocabularies live in the shared [Cli_options]
    module (bench/main.ml resolves through the same tables). *)
@@ -221,9 +180,6 @@ let report_diag_list ppf ~lint ~werror ~stage name ds =
   || (werror
      && List.exists (fun d -> d.Check.Diagnostic.severity = Check.Diagnostic.Warning) ds)
 
-let report_diagnostics ppf ~lint ~werror ~stage name f =
-  report_diag_list ppf ~lint ~werror ~stage name (Check.run_all ~lint f)
-
 (* Dump one sparse analysis's per-definition facts through the printer,
    prefixed by the blocks it proves unexecutable. *)
 let dump_facts ppf f ~header ~(pp_fact : 'f Fmt.t) ~(fact : int -> 'f) ~block_exec =
@@ -272,6 +228,64 @@ let run_schedule ppf ~obs mode name f =
       Fmt.pf ppf "schedule lint: %d opportunity(ies)@." (List.length ls);
       false
 
+(* The optimizing mode: GVN + rewrite, DCE and CFG cleanup, plus GCM under
+   --gcm, as one Transform.Pipeline pass list. A GCM plan (or output) the
+   schedule-legality checker refutes reports its sched-* diagnostics, fails
+   the routine, and the function is rendered as GVN and cleanup left it.
+   Returns the pipeline's result and the refusal's diagnostics (if any). *)
+let optimize ~opts ~obs f =
+  let module P = Transform.Pipeline in
+  let run ~gcm =
+    P.run_list
+      { P.Options.default with config = opts.config; obs }
+      ([ P.Pass.gvn ~name:"gvn"; P.Pass.dce ~name:"dce"; P.Pass.simplify_cfg ~name:"simplify-cfg" ]
+      @ if gcm then [ P.Pass.gcm ~name:"gcm" ] else [])
+      f
+  in
+  match run ~gcm:(opts.gcm <> None) with
+  | r -> (r, [])
+  | exception P.Certification_failed { diagnostics; _ } -> (run ~gcm:false, diagnostics)
+
+(* --gcm's report over the certified plan: the moves under --gcm=dump, the
+   motion counts, and under --gcm=check an Engine-2 diff across the motion
+   alone (moved code must be observably invisible). *)
+let report_gcm ppf ~obs ~failed name mode (p : Transform.Gcm.plan) g' =
+  let pl = p.Transform.Gcm.placement in
+  if mode = Gdump then
+    List.iter
+      (fun (v, from_b, to_b) ->
+        Fmt.pf ppf "gcm: v%d b%d -> b%d%s@." v from_b to_b
+          (if Schedule.Placement.hoistable pl v then " [hoist]"
+           else if Schedule.Placement.sinkable pl v then " [sink]"
+           else ""))
+      (Transform.Gcm.moves p);
+  let s = Transform.Gcm.stats p in
+  Fmt.pf ppf "gcm: %d value(s) moved (%d hoisted, %d sunk) | %d speculation-blocked@."
+    s.Transform.Gcm.moved s.Transform.Gcm.hoisted s.Transform.Gcm.sunk
+    s.Transform.Gcm.speculation_blocked;
+  if mode = Gcheck then begin
+    let r =
+      Obs.span_o obs ~cat:"verify" "gcm.diff" @@ fun () ->
+      Validate.Equiv.check ~pass:"gcm" pl.Schedule.Placement.func g'
+    in
+    if Validate.Equiv.ok r then
+      Fmt.pf ppf "gcm diff: observably equivalent (%d runs)@." r.Validate.Equiv.runs
+    else begin
+      List.iter
+        (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
+        (Validate.Equiv.diagnostics r);
+      Fmt.pf ppf "gcm diff: DISAGREE@.";
+      failed := true
+    end
+  end
+
+(* The static cross-check of a GVN run's claims against interval facts; a
+   contradiction fails the run. *)
+let crosscheck ppf ~failed ~ranges st =
+  let report = Absint.Crosscheck.run ~ranges st in
+  Fmt.pf ppf "%a@." Absint.Crosscheck.pp_report report;
+  if not (Absint.Crosscheck.ok report) then failed := true
+
 (* One routine, end to end, rendered into [ppf]; the caller has already
    lowered and SSA-constructed (the cache key needs the SSA form before we
    know whether this runs at all). Returns true when the routine failed. *)
@@ -281,8 +295,9 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
   let diagnose ~stage name g =
     if checking then
       Obs.span_o obs ~cat:"verify" "check" @@ fun () ->
-      if report_diagnostics ppf ~lint:opts.lint ~werror:opts.werror ~stage name g then
-        failed := true
+      if report_diag_list ppf ~lint:opts.lint ~werror:opts.werror ~stage name
+           (Check.run_all ~lint:opts.lint g)
+      then failed := true
   in
   Fmt.pf ppf "=== %s ===@." name;
   if opts.dump_input then Fmt.pf ppf "--- input SSA ---@.%a@." Ir.Printer.pp f;
@@ -294,24 +309,30 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
          (Check.Lint.run_cir cir)
   then failed := true;
   diagnose ~stage:"input" name f;
-  let st = Obs.span_o obs ~cat:"pass" "gvn" @@ fun () -> Pgvn.Driver.run ?obs opts.config f in
-  let s = Pgvn.Driver.summarize st in
-  Fmt.pf ppf
-    "values: %d | unreachable: %d | constant: %d | classes: %d | reachable blocks: %d/%d | passes: %d@."
-    s.Pgvn.Driver.values s.Pgvn.Driver.unreachable_values s.Pgvn.Driver.constant_values
-    s.Pgvn.Driver.congruence_classes s.Pgvn.Driver.reachable_blocks (Ir.Func.num_blocks f)
-    s.Pgvn.Driver.passes;
-  if opts.stats then Fmt.pf ppf "stats: %a@." Pgvn.Run_stats.pp st.Pgvn.State.stats;
+  let summarize st =
+    let s = Pgvn.Driver.summarize st in
+    Fmt.pf ppf
+      "values: %d | unreachable: %d | constant: %d | classes: %d | reachable blocks: %d/%d | passes: %d@."
+      s.Pgvn.Driver.values s.Pgvn.Driver.unreachable_values s.Pgvn.Driver.constant_values
+      s.Pgvn.Driver.congruence_classes s.Pgvn.Driver.reachable_blocks (Ir.Func.num_blocks f)
+      s.Pgvn.Driver.passes;
+    if opts.stats then Fmt.pf ppf "stats: %a@." Pgvn.Run_stats.pp st.Pgvn.State.stats
+  in
+  (* The report-only modes rewrite nothing: one engine run on the input. *)
+  let gvn () =
+    let st = Obs.span_o obs ~cat:"pass" "gvn" @@ fun () -> Pgvn.Driver.run ?obs opts.config f in
+    summarize st;
+    st
+  in
   (match opts.action with
   | Schedule mode ->
-      (* Placement analysis / legality check of the input SSA; nothing is
-         rewritten. *)
+      ignore (gvn ());
       if run_schedule ppf ~obs mode name f then failed := true
   | Pred mode ->
-      (* The engine above ran with the implication closure enabled (main
-         forces [pred_closure] on for this action); every mode replays its
-         verdicts against the interval analysis and the single-fact walk,
-         and a contradiction fails the run. *)
+      (* The engine ran with the implication closure enabled (main forces
+         [pred_closure] on for this action); every mode replays its
+         verdicts against the interval analysis and the single-fact walk. *)
+      let st = gvn () in
       (match mode with
       | Pcheck -> ()
       | Pdump ->
@@ -331,10 +352,9 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
       let ranges = Obs.span_o obs ~cat:"verify" "pred.crosscheck" @@ fun () ->
         Absint.Ranges.run ?obs f
       in
-      let report = Absint.Crosscheck.run ~ranges st in
-      Fmt.pf ppf "%a@." Absint.Crosscheck.pp_report report;
-      if not (Absint.Crosscheck.ok report) then failed := true
+      crosscheck ppf ~failed ~ranges st
   | Analyze mode ->
+      let st = gvn () in
       (* Print the non-trivial congruence facts. *)
       let dump_gvn () =
         for v = 0 to Ir.Func.num_instrs f - 1 do
@@ -355,111 +375,35 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
           ~fact:(fun v -> res.Absint.Consts.facts.(v))
           ~block_exec:res.Absint.Consts.block_exec
       in
-      let dump_range () = Absint.Ranges.run ?obs f in
+      let dump_range () =
+        let res = Absint.Ranges.run ?obs f in
+        dump_facts ppf f ~header:"range" ~pp_fact:Absint.Itv.pp
+          ~fact:(fun v -> res.Absint.Ranges.facts.(v))
+          ~block_exec:res.Absint.Ranges.block_exec;
+        res
+      in
       (match mode with
       | Agvn -> dump_gvn ()
       | Aconst -> dump_const ()
-      | Arange ->
-          let res = dump_range () in
-          dump_facts ppf f ~header:"range" ~pp_fact:Absint.Itv.pp
-            ~fact:(fun v -> res.Absint.Ranges.facts.(v))
-            ~block_exec:res.Absint.Ranges.block_exec
+      | Arange -> ignore (dump_range ())
       | Aall ->
           dump_gvn ();
           dump_const ();
           let ranges = dump_range () in
-          dump_facts ppf f ~header:"range" ~pp_fact:Absint.Itv.pp
-            ~fact:(fun v -> ranges.Absint.Ranges.facts.(v))
-            ~block_exec:ranges.Absint.Ranges.block_exec;
-          (* Static cross-check: replay the GVN run's claims against the
-             interval facts; a contradiction fails the run. *)
-          let report = Absint.Crosscheck.run ~ranges st in
-          Fmt.pf ppf "%a@." Absint.Crosscheck.pp_report report;
-          if not (Absint.Crosscheck.ok report) then failed := true)
+          crosscheck ppf ~failed ~ranges st)
   | Optimize ->
-      let rewritten, witnesses =
-        Obs.span_o obs ~cat:"pass" "rewrite" @@ fun () ->
-        Transform.Apply.rebuild_witnessed st f
-      in
-      let dced = Obs.span_o obs ~cat:"pass" "dce" @@ fun () -> Transform.Dce.run rewritten in
-      let g =
-        Obs.span_o obs ~cat:"pass" "simplify-cfg" @@ fun () ->
-        Transform.Simplify_cfg.fixpoint dced
-      in
-      (* --gcm: global code motion after the GVN rewrite + cleanup. The
-         plan is certified by the independent legality checker before
-         anything moves; a refuted plan reports its sched-* diagnostics,
-         fails the run, and leaves the function as GVN left it. *)
-      let g =
-        match opts.gcm with
-        | None -> g
-        | Some mode ->
-            let p =
-              Obs.span_o obs ~cat:"schedule" "gcm.plan" @@ fun () ->
-              Transform.Gcm.plan ?obs g
-            in
-            let diags =
-              Obs.span_o obs ~cat:"verify" "gcm.certify" @@ fun () ->
-              Transform.Gcm.certify p
-            in
-            let errors = Check.errors diags in
-            Obs.add_o obs "gcm.violations" (List.length errors);
-            List.iter
-              (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
-              (Check.sort diags);
-            if errors <> [] then begin
-              Fmt.pf ppf "gcm: REFUSED (%d violation(s)); not rewritten@."
-                (List.length errors);
-              failed := true;
-              g
-            end
-            else begin
-              let s = Transform.Gcm.stats p in
-              if mode = Gdump then
-                List.iter
-                  (fun (v, from_b, to_b) ->
-                    Fmt.pf ppf "gcm: v%d b%d -> b%d%s@." v from_b to_b
-                      (if Schedule.Placement.hoistable p.Transform.Gcm.placement v
-                       then " [hoist]"
-                       else if Schedule.Placement.sinkable p.Transform.Gcm.placement v
-                       then " [sink]"
-                       else ""))
-                  (Transform.Gcm.moves p);
-              let g' =
-                if s.Transform.Gcm.moved = 0 then g
-                else
-                  Obs.span_o obs ~cat:"pass" "gcm" @@ fun () ->
-                  Transform.Gcm.apply ?obs p
-              in
-              Fmt.pf ppf
-                "gcm: %d value(s) moved (%d hoisted, %d sunk) | %d speculation-blocked@."
-                s.Transform.Gcm.moved s.Transform.Gcm.hoisted s.Transform.Gcm.sunk
-                s.Transform.Gcm.speculation_blocked;
-              Obs.add_o obs "gcm.values" s.Transform.Gcm.values;
-              Obs.add_o obs "gcm.moved" s.Transform.Gcm.moved;
-              Obs.add_o obs "gcm.hoisted" s.Transform.Gcm.hoisted;
-              Obs.add_o obs "gcm.sunk" s.Transform.Gcm.sunk;
-              Obs.add_o obs "gcm.speculation_blocked" s.Transform.Gcm.speculation_blocked;
-              (if mode = Gcheck then begin
-                 (* Engine-2 diff across the motion alone: moved code must
-                    be observably invisible. *)
-                 let r =
-                   Obs.span_o obs ~cat:"verify" "gcm.diff" @@ fun () ->
-                   Validate.Equiv.check ~pass:"gcm" g g'
-                 in
-                 if Validate.Equiv.ok r then
-                   Fmt.pf ppf "gcm diff: observably equivalent (%d runs)@." r.Validate.Equiv.runs
-                 else begin
-                   List.iter
-                     (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
-                     (Validate.Equiv.diagnostics r);
-                   Fmt.pf ppf "gcm diff: DISAGREE@.";
-                   failed := true
-                 end
-               end);
-              g'
-            end
-      in
+      let r, refused = optimize ~opts ~obs f in
+      Option.iter summarize r.Transform.Pipeline.gvn_state;
+      let g = r.Transform.Pipeline.func in
+      (match (opts.gcm, r.Transform.Pipeline.gcm_plan) with
+      | Some _, _ when refused <> [] ->
+          List.iter
+            (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
+            (Check.sort refused);
+          Fmt.pf ppf "gcm: REFUSED (%d violation(s)); not rewritten@." (List.length refused);
+          failed := true
+      | Some mode, Some p -> report_gcm ppf ~obs ~failed name mode p g
+      | _ -> ());
       Fmt.pf ppf "--- optimized (%d -> %d instrs, %d -> %d blocks) ---@.%a@."
         (Ir.Func.num_instrs f) (Ir.Func.num_instrs g) (Ir.Func.num_blocks f)
         (Ir.Func.num_blocks g) Ir.Printer.pp g;
@@ -467,10 +411,13 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
       (match opts.validate with
       | None -> ()
       | Some mode ->
-          (* Engine 1 audits the GVN rewrite's witnesses against [f];
-             Engine 2 diffs observable behavior across the whole rewrite +
-             cleanup. *)
-          let p = Validate.certify ?obs ~mode ~pass:"gvn+cleanup" ~witnesses f g in
+          (* One whole-path certification of input -> final function:
+             Engine 1 audits the GVN rewrite's witnesses against [f],
+             Engine 2 diffs observable behavior across every pass. *)
+          let p =
+            Validate.certify ?obs ~mode ~pass:"gvn+cleanup"
+              ~witnesses:r.Transform.Pipeline.witnesses f g
+          in
           let report = Validate.Report.add Validate.Report.empty p in
           Fmt.pf ppf "validate: %a@." Validate.Report.pp_summary report;
           let errors = Validate.Report.errors report in

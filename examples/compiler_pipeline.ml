@@ -47,7 +47,7 @@ let () =
       let result =
         (* The pass-list API: the classic lineup is just [standard_passes]. *)
         let opts = Transform.Pipeline.Options.(default |> with_config Pgvn.Config.full) in
-        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
       in
       let g = result.Transform.Pipeline.func in
       Fmt.pr "=== %s: %d -> %d instructions, %d -> %d blocks ===@." r.Ir.Ast.name

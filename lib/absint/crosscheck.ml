@@ -108,15 +108,11 @@ let run ?ranges (st : Pgvn.State.t) : report =
         | _ -> false)
        || dead_by_equality b dom.Analysis.Dom.idom.(d))
   in
-  let memo = Array.make (Ir.Func.num_blocks f) None in
-  let live b =
-    match memo.(b) with
-    | Some l -> l
-    | None ->
-        let l = res.Ranges.block_exec.(b) && not (dead_by_equality b b) in
-        memo.(b) <- Some l;
-        l
+  let live =
+    Array.init (Ir.Func.num_blocks f) (fun b ->
+        res.Ranges.block_exec.(b) && not (dead_by_equality b b))
   in
+  let live b = live.(b) in
 
   (* --- decided branches ------------------------------------------------ *)
   let branches_checked = ref 0 in

@@ -5,13 +5,7 @@
    smallest other loop containing its header. Retreating edges whose target
    does NOT dominate their source (irreducible control flow) form no natural
    loop: they are reported in [irreducible] instead of being silently folded
-   into some body. The historical flat [nesting]/[headers] record survives as
-   a view for the workload statistics. *)
-
-type t = {
-  nesting : int array; (* loop nesting depth per block; 0 = not in a loop *)
-  headers : int list; (* natural loop headers, innermost duplicates removed *)
-}
+   into some body. *)
 
 type loop = {
   header : int;
@@ -134,30 +128,4 @@ let widen_blocks fr =
     (Array.fold_left (fun acc l -> l.header :: acc) [] fr.loops
     @ List.map snd fr.irreducible)
 
-let view (fr : forest) : t =
-  {
-    nesting = Array.copy fr.nesting;
-    headers = Array.to_list (Array.map (fun l -> l.header) fr.loops);
-  }
-
-let compute (g : Graph.t) = view (forest g)
-let max_nesting (t : t) = Array.fold_left max 0 t.nesting
-
-let pp_forest ppf fr =
-  if Array.length fr.loops = 0 then Format.fprintf ppf "no loops"
-  else
-    Array.iteri
-      (fun li l ->
-        if li > 0 then Format.pp_print_cut ppf ();
-        Format.fprintf ppf "loop b%d depth %d%s body {%s}" l.header l.depth
-          (if l.parent >= 0 then Printf.sprintf " in b%d" fr.loops.(l.parent).header
-           else "")
-          (String.concat " "
-             (Array.to_list (Array.map (Printf.sprintf "b%d") l.body))))
-      fr.loops;
-  if fr.irreducible <> [] then begin
-    Format.pp_print_cut ppf ();
-    Format.fprintf ppf "irreducible edges:%s"
-      (String.concat ""
-         (List.map (fun (u, v) -> Printf.sprintf " b%d->b%d" u v) fr.irreducible))
-  end
+let max_nesting fr = Array.fold_left max 0 fr.nesting

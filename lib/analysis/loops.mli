@@ -4,13 +4,7 @@
     smallest other loop containing its header. Retreating edges whose target
     does not dominate their source (irreducible control flow) form no
     natural loop and are reported in [irreducible] instead of being silently
-    mis-nested. The flat [nesting]/[headers] record remains as a view for
-    the workload statistics. *)
-
-type t = {
-  nesting : int array;  (** loop nesting depth per block; 0 = not in a loop *)
-  headers : int list;  (** natural-loop header blocks, ascending *)
-}
+    mis-nested. *)
 
 type loop = {
   header : int;
@@ -33,10 +27,6 @@ val forest : ?dom:Dom.t -> Graph.t -> forest
 (** The loop-nesting forest of the reachable part of the graph. [?dom] lets
     a caller that already computed dominators share them. *)
 
-val view : forest -> t
-val compute : Graph.t -> t
-(** [compute g = view (forest g)] — the historical flat API. *)
-
 val depth_at : forest -> int -> int
 (** Loop depth of a block: number of natural loops containing it. *)
 
@@ -44,5 +34,5 @@ val widen_blocks : forest -> int list
 (** Blocks where a fixpoint over this graph must widen: natural-loop headers
     plus the targets of irreducible retreating edges. *)
 
-val max_nesting : t -> int
-val pp_forest : Format.formatter -> forest -> unit
+val max_nesting : forest -> int
+(** The deepest loop nesting of any block; 0 without loops. *)

@@ -196,7 +196,7 @@ let apply ?obs (p : plan) : Ir.Func.t =
     !phi_fixups;
   Ir.Builder.finish bld
 
-let run ?obs (f : Ir.Func.t) : Ir.Func.t * stats =
+let run ?obs (f : Ir.Func.t) : Ir.Func.t * plan =
   Obs.span_o obs ~cat:"pass" "gcm" @@ fun () ->
   let t0 = match obs with Some o -> Obs.clock o | None -> 0.0 in
   let p = plan ?obs f in
@@ -216,4 +216,4 @@ let run ?obs (f : Ir.Func.t) : Ir.Func.t * stats =
       Obs.add o "gcm.sunk" s.sunk;
       Obs.add o "gcm.speculation_blocked" s.speculation_blocked;
       Obs.observe_seconds o "gcm.transform_ns" (Obs.clock o -. t0));
-  (f', s)
+  (f', p)

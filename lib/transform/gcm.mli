@@ -59,9 +59,11 @@ val apply : ?obs:Obs.t -> plan -> Ir.Func.t
     plan: an illegal placement surfaces as a builder/validation error, not
     a diagnostic. Emits a [gcm.rebuild] span under [obs]. *)
 
-val run : ?obs:Obs.t -> Ir.Func.t -> Ir.Func.t * stats
+val run : ?obs:Obs.t -> Ir.Func.t -> Ir.Func.t * plan
 (** [plan], {!certify} (raising {!Rejected} on any Error-severity
     diagnostic), then {!apply} — skipping the rebuild entirely when the
-    plan moves nothing. Emits a [gcm] span and the [gcm.*] counters
+    plan moves nothing. Returns the certified plan with the rewritten
+    function: {!stats} and {!moves} read it, and [plan.placement.func] is
+    the function before motion. Emits a [gcm] span and the [gcm.*] counters
     ([gcm.values], [gcm.moved], [gcm.hoisted], [gcm.sunk],
     [gcm.speculation_blocked]) under [obs]. *)

@@ -6,10 +6,8 @@
    The pipeline is an ordered list of {!Pass.t} descriptors — name, kind,
    transform, optional certifier — run by {!run_list}. The classic lineup
    (CFG cleanup, analyses, LVN, DCE, GVN + rewrite, cleanup, with GCM
-   optionally appended after the last round) is {!standard_passes}, and the
-   legacy single-shape entry point {!run_with} is now just
-   [run_list opts (standard_passes opts)] — pinned behaviorally equivalent
-   by test, as was done for the PR 5 run → run_with migration.
+   optionally appended after the last round) is {!standard_passes}; gvnopt
+   runs its own short list (GVN, DCE, CFG cleanup, optionally GCM).
 
    With [Options.check] the {!Check} verifier runs after every pass and the
    first broken invariant is attributed to the pass that introduced it. A
@@ -44,7 +42,8 @@ type result = {
   gvn_seconds : float;
   total_seconds : float;
   gvn_state : Pgvn.State.t option; (* the last GVN run's state *)
-  gcm_stats : Gcm.stats option; (* the last GCM pass's motion counts *)
+  witnesses : Validate.Witness.t list; (* the last GVN rewrite's witnesses *)
+  gcm_plan : Gcm.plan option; (* the last GCM pass's certified plan *)
   validation : Validate.Report.t option; (* under [Options.validate] *)
   crosschecks : (string * Absint.Crosscheck.report) list; (* under [Options.crosscheck] *)
 }
@@ -52,31 +51,19 @@ type result = {
 module Options = struct
   type t = {
     config : Pgvn.Config.t;
-    rounds : int;
     check : bool;
     validate : Validate.mode option;
     crosscheck : bool;
-    gcm : bool;
     obs : Obs.t option;
   }
 
   let default =
-    {
-      config = Pgvn.Config.full;
-      rounds = 2;
-      check = false;
-      validate = None;
-      crosscheck = false;
-      gcm = false;
-      obs = None;
-    }
+    { config = Pgvn.Config.full; check = false; validate = None; crosscheck = false; obs = None }
 
   let with_config config t = { t with config }
-  let with_rounds rounds t = { t with rounds }
   let with_check check t = { t with check }
   let with_validate validate t = { t with validate = Some validate }
   let with_crosscheck crosscheck t = { t with crosscheck }
-  let with_gcm gcm t = { t with gcm }
   let with_obs obs t = { t with obs = Some obs }
 end
 
@@ -128,7 +115,7 @@ let analysis_pass (f : Ir.Func.t) : Ir.Func.t =
   let dom = Analysis.Dom.compute g in
   let (_ : Analysis.Postdom.t) = Analysis.Postdom.compute g in
   let (_ : int array array) = Analysis.Domfront.compute g dom in
-  let (_ : Analysis.Loops.t) = Analysis.Loops.compute g in
+  let (_ : Analysis.Loops.forest) = Analysis.Loops.forest ~dom g in
   let (_ : int array array) = Ir.Func.def_use f in
   let (_ : Analysis.Liveness.t) = Analysis.Liveness.compute f in
   f
@@ -143,12 +130,12 @@ let guard ~obs ~check ~pass f =
 
 module Pass = struct
   type ctx = {
-    obs : Obs.t;
+    obs : Obs.t option;
     config : Pgvn.Config.t;
     crosscheck : bool;
     gvn_state : Pgvn.State.t option ref;
     crosschecks : (string * Absint.Crosscheck.report) list ref;
-    gcm_stats : Gcm.stats option ref;
+    gcm_plan : Gcm.plan option ref;
   }
 
   type t = {
@@ -179,13 +166,13 @@ module Pass = struct
       kind = Gvn;
       transform =
         (fun ctx ~name fn ->
-          let st = Pgvn.Driver.run ~obs:ctx.obs ctx.config fn in
+          let st = Pgvn.Driver.run ?obs:ctx.obs ctx.config fn in
           ctx.gvn_state := Some st;
           if ctx.crosscheck then begin
             (* Static replay of the run's claims against interval facts,
                before the rewrite is even applied. *)
             let report =
-              Obs.span ctx.obs ~cat:"verify" "crosscheck" (fun () ->
+              Obs.span_o ctx.obs ~cat:"verify" "crosscheck" (fun () ->
                   Absint.Crosscheck.run st)
             in
             ctx.crosschecks := (name, report) :: !(ctx.crosschecks);
@@ -202,9 +189,9 @@ module Pass = struct
       kind = Gcm;
       transform =
         (fun ctx ~name fn ->
-          match Gcm.run ~obs:ctx.obs fn with
-          | f', s ->
-              ctx.gcm_stats := Some s;
+          match Gcm.run ?obs:ctx.obs fn with
+          | f', plan ->
+              ctx.gcm_plan := Some plan;
               (f', [])
           | exception Gcm.Rejected { diagnostics } ->
               raise (Certification_failed { pass = name; diagnostics }));
@@ -233,32 +220,25 @@ let standard_round round =
     Pass.dce ~name:(n Dce);
   ]
 
-let standard_passes (opts : Options.t) =
-  List.concat (List.init opts.Options.rounds (fun i -> standard_round (i + 1)))
-  @ (if opts.Options.gcm then [ Pass.gcm ~name:"gcm#1" ] else [])
+let standard_passes ?(rounds = 2) ?(gcm = false) () =
+  List.concat (List.init rounds (fun i -> standard_round (i + 1)))
+  @ if gcm then [ Pass.gcm ~name:"gcm#1" ] else []
 
 let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result =
-  let { Options.config; rounds = _; check; validate; crosscheck; gcm = _; obs } =
-    opts
-  in
-  (* The pipeline always runs under an observability context — a private
-     one when the caller installs none — so the trace is the single source
-     of truth for time accounting. *)
-  let obs = match obs with Some o -> o | None -> Obs.create () in
+  let { Options.config; check; validate; crosscheck; obs = user_obs } = opts in
+  (* The pipeline's own spans always land in an observability context — a
+     private one when the caller installs none — so the trace is the single
+     source of truth for time accounting. The passes see only the caller's
+     context: an untraced run does no engine instrumentation. *)
+  let obs = match user_obs with Some o -> o | None -> Obs.create () in
   let timings = ref [] in
   let gvn_state = ref None in
-  let gcm_stats = ref None in
+  let witnesses = ref [] in
+  let gcm_plan = ref None in
   let vreport = ref Validate.Report.empty in
   let xreports = ref [] in
   let ctx =
-    {
-      Pass.obs;
-      config;
-      crosscheck;
-      gvn_state;
-      crosschecks = xreports;
-      gcm_stats;
-    }
+    { Pass.obs = user_obs; config; crosscheck; gvn_state; crosschecks = xreports; gcm_plan }
   in
   (* Certify one pass instance under the requested validation mode. The
      analyses pass is the identity and is skipped; witness audits only ever
@@ -278,8 +258,9 @@ let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result 
   let time_pass (p : Pass.t) x =
     let name = p.Pass.name in
     let sp = Obs.Trace.begin_span obs.Obs.trace ~cat:"pass" name in
-    let y, witnesses = p.Pass.transform ctx ~name x in
+    let y, ws = p.Pass.transform ctx ~name x in
     Obs.Trace.end_span obs.Obs.trace sp;
+    if p.Pass.kind = Gvn then witnesses := ws;
     timings := { pass = name; kind = p.Pass.kind; seconds = Obs.Trace.duration sp } :: !timings;
     Obs.observe_seconds obs "pipeline.pass_ns" (Obs.Trace.duration sp);
     let y = guard ~obs ~check ~pass:name y in
@@ -289,7 +270,7 @@ let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result 
         match cert ctx ~name ~before:x ~after:y with
         | [] -> ()
         | diagnostics -> raise (Certification_failed { pass = name; diagnostics })));
-    if p.Pass.kind <> Analyses then validate_pass ~name ~before:x ~after:y ~witnesses;
+    if p.Pass.kind <> Analyses then validate_pass ~name ~before:x ~after:y ~witnesses:ws;
     y
   in
   let pipeline_span = Obs.Trace.begin_span obs.Obs.trace ~cat:"pipeline" "pipeline" in
@@ -308,10 +289,8 @@ let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result 
     gvn_seconds = kind_seconds Gvn timings;
     total_seconds = Obs.Trace.duration pipeline_span;
     gvn_state = !gvn_state;
-    gcm_stats = !gcm_stats;
+    witnesses = !witnesses;
+    gcm_plan = !gcm_plan;
     validation = (match validate with None -> None | Some _ -> Some !vreport);
     crosschecks = List.rev !xreports;
   }
-
-let run_with (opts : Options.t) (f : Ir.Func.t) : result =
-  run_list opts (standard_passes opts) f

@@ -4,12 +4,10 @@
 
     The pipeline is an ordered list of {!Pass.t} descriptors run by
     {!run_list}; {!standard_passes} builds the classic lineup (per round:
-    CFG cleanup, analyses, LVN, DCE, GVN + rewrite, cleanup; with
-    [Options.gcm], one GCM pass after the last round), and {!run_with} is
-    the legacy single-shape entry point, now a thin wrapper over
-    [run_list opts (standard_passes opts)] — kept behaviorally equivalent
-    for one release (pinned by test) for the PR 5-era callers; new callers
-    should compose a pass list.
+    CFG cleanup, analyses, LVN, DCE, GVN + rewrite, cleanup; optionally
+    one GCM pass after the last round). [gvnopt] composes its own list
+    from its flags: GVN + rewrite, DCE, CFG cleanup, and GCM under
+    [--gcm].
 
     Every pass instance is an {!Obs} span (category ["pass"]); the
     [timings] list is a view over those spans — there is no second
@@ -37,46 +35,45 @@ type result = {
   gvn_seconds : float;  (** [kind_seconds Gvn timings] *)
   total_seconds : float;  (** duration of the whole pipeline span *)
   gvn_state : Pgvn.State.t option;  (** state of the last GVN run *)
-  gcm_stats : Gcm.stats option;  (** motion counts of the last GCM pass *)
+  witnesses : Validate.Witness.t list;
+      (** the last GVN rewrite's witnesses, for whole-path certification *)
+  gcm_plan : Gcm.plan option;
+      (** the last GCM pass's certified plan: {!Gcm.stats} and {!Gcm.moves}
+          read it, and [placement.func] is the function before motion *)
   validation : Validate.Report.t option;
       (** per-pass validation results and overhead, under [Options.validate] *)
   crosschecks : (string * Absint.Crosscheck.report) list;
       (** per-GVN-pass static cross-check reports, under [Options.crosscheck] *)
 }
 
-(** How to run the pipeline: one value subsuming the former
-    [?config ?rounds ?check ?validate ?crosscheck] keyword arguments, plus
-    the observability context. Build from {!Options.default} with the
+(** How to run a pass list: the GVN configuration, the per-pass checks,
+    and the observability context. Build from {!Options.default} with the
     [with_*] builders:
 
     {[
-      Pipeline.Options.(default |> with_rounds 1 |> with_check true)
-      |> fun opts -> Pipeline.run_with opts f
+      let opts = Pipeline.Options.(default |> with_check true) in
+      Pipeline.run_list opts (Pipeline.standard_passes ~rounds:1 ()) f
     ]} *)
 module Options : sig
   type t = {
     config : Pgvn.Config.t;
-    rounds : int;  (** rounds of {!standard_passes}; ignored by {!run_list} *)
     check : bool;  (** verify invariants after every pass *)
     validate : Validate.mode option;  (** translation-validate every pass *)
     crosscheck : bool;  (** statically cross-check each GVN run *)
-    gcm : bool;
-        (** append one GCM pass after the last {!standard_passes} round *)
     obs : Obs.t option;
-        (** observability context the run's spans and metrics land in; when
-            absent the pipeline uses a private one (timings still work) *)
+        (** observability context the run's spans and metrics land in, and
+            the one the passes see; when absent the pipeline times its
+            passes in a private context and the passes run uninstrumented *)
   }
 
   val default : t
-  (** {!Pgvn.Config.full}, 2 rounds, no checking, no validation, no
-      cross-checking, no GCM, private observability. *)
+  (** {!Pgvn.Config.full}, no checking, no validation, no cross-checking,
+      no caller observability. *)
 
   val with_config : Pgvn.Config.t -> t -> t
-  val with_rounds : int -> t -> t
   val with_check : bool -> t -> t
   val with_validate : Validate.mode -> t -> t
   val with_crosscheck : bool -> t -> t
-  val with_gcm : bool -> t -> t
   val with_obs : Obs.t -> t -> t
 end
 
@@ -111,16 +108,16 @@ val analysis_pass : Ir.Func.t -> Ir.Func.t
     instance), guards it under [Options.check], certifies it, and
     translation-validates it under [Options.validate]. *)
 module Pass : sig
-  (** Shared pipeline state a transform may read or update: the
+  (** Shared pipeline state a transform may read or update: the caller's
       observability context, the GVN configuration, and the result
-      accumulators ([gvn_state], [crosschecks], [gcm_stats]). *)
+      accumulators ([gvn_state], [crosschecks], [gcm_plan]). *)
   type ctx = {
-    obs : Obs.t;
+    obs : Obs.t option;
     config : Pgvn.Config.t;
     crosscheck : bool;
     gvn_state : Pgvn.State.t option ref;
     crosschecks : (string * Absint.Crosscheck.report) list ref;
-    gcm_stats : Gcm.stats option ref;
+    gcm_plan : Gcm.plan option ref;
   }
 
   type t = {
@@ -152,16 +149,16 @@ module Pass : sig
 
   val gcm : name:string -> t
   (** {!Gcm.run}: plan, certify against {!Check.Schedule} (a refuted plan
-      raises {!Certification_failed}), rebuild; records [ctx.gcm_stats].
+      raises {!Certification_failed}), rebuild; records [ctx.gcm_plan].
       Its certifier re-verifies the {e output}'s identity schedule. *)
 end
 
 val standard_round : int -> Pass.t list
 (** One round of the classic lineup, display names suffixed "#round". *)
 
-val standard_passes : Options.t -> Pass.t list
-(** [Options.rounds] rounds of {!standard_round}, plus a final GCM pass
-    under [Options.gcm]. *)
+val standard_passes : ?rounds:int -> ?gcm:bool -> unit -> Pass.t list
+(** [rounds] (default 2) rounds of {!standard_round}, plus a final GCM
+    pass when [gcm] (default false). *)
 
 val run_list : Options.t -> Pass.t list -> Ir.Func.t -> result
 (** Run an ordered pass list. With [Options.check], {!Check.run_all} runs
@@ -179,13 +176,4 @@ val run_list : Options.t -> Pass.t list -> Ir.Func.t -> result
     inferences, φ block predicates and constants are statically replayed
     against interval facts ({!Absint.Crosscheck}) before the rewrite; a
     contradicted claim raises {!Crosscheck_failed}. With [Options.obs] all
-    spans, counters and histograms land in the caller's context.
-    [Options.rounds] and [Options.gcm] only shape {!standard_passes} — an
-    explicit pass list is run exactly as given. *)
-
-val run_with : Options.t -> Ir.Func.t -> result
-(** @deprecated The legacy fixed-shape entry point:
-    [run_list opts (standard_passes opts)]. Kept behaviorally equivalent
-    (pinned by test) for one release; new callers should use {!run_list}
-    over an explicit pass list, or {!standard_passes} to start from the
-    classic lineup. *)
+    spans, counters and histograms land in the caller's context. *)

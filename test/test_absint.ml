@@ -386,14 +386,16 @@ let prop_crosscheck_generated =
 let test_crosscheck_superseded_claims () =
   (* Generated routines where an optimistic pass decides a comparison from
      the sole reachable in-edge's predicate, and a later pass reaches the
-     block along a second edge and re-evaluates the comparison as unknown.
-     The superseded claim must not survive into the replay. *)
+     block along a second edge and re-evaluates the comparison as unknown
+     (seeds 104, 210, 544): the superseded claim must not survive into the
+     replay. Seed 180967 derives a constant in a block that a dominating
+     [x = y] edge with disjoint intervals proves dead. *)
   List.iter
     (fun seed ->
       let f = Workload.Generator.func ~seed ~name:"xc" () in
       let st = Pgvn.Driver.run Pgvn.Config.full f in
       assert_crosscheck_clean (Printf.sprintf "seed %d" seed) (Absint.Crosscheck.run st))
-    [ 104; 210; 544 ]
+    [ 104; 210; 544; 180967 ]
 
 let test_pipeline_crosscheck_hook () =
   (* The pipeline integration: every GVN pass instance is cross-checked
@@ -403,7 +405,7 @@ let test_pipeline_crosscheck_hook () =
       let f = Helpers.func_of_src src in
       let r =
         let opts = Transform.Pipeline.Options.(default |> with_crosscheck true) in
-        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
       in
       Alcotest.(check bool)
         (name ^ ": one report per GVN pass")

@@ -252,9 +252,9 @@ let test_loops_nesting () =
      return i; }"
   in
   let f = Ssa.Construct.of_cir (Ir.Lower.lower_routine (Ir.Parser.parse_one src)) in
-  let loops = Analysis.Loops.compute (Analysis.Graph.of_func f) in
-  Alcotest.(check int) "max nesting" 2 (Analysis.Loops.max_nesting loops);
-  Alcotest.(check int) "two loop headers" 2 (List.length loops.Analysis.Loops.headers)
+  let fr = Analysis.Loops.forest (Analysis.Graph.of_func f) in
+  Alcotest.(check int) "max nesting" 2 (Analysis.Loops.max_nesting fr);
+  Alcotest.(check int) "two loop headers" 2 (Array.length fr.Analysis.Loops.loops)
 
 let test_liveness_simple () =
   (* x is live across the branch; the constant only in the entry block. *)
@@ -431,14 +431,10 @@ let prop_loop_forest =
                 else if not (List.mem (u, v) fr.Analysis.Loops.irreducible) then ok := false)
             g.Analysis.Graph.succ.(u)
       done;
-      (* The flat view and the historical API agree with the forest. *)
-      let t = Analysis.Loops.compute g in
-      if t.Analysis.Loops.nesting <> fr.Analysis.Loops.nesting then ok := false;
       let headers =
         List.sort compare
           (Array.to_list (Array.map (fun (l : Analysis.Loops.loop) -> l.Analysis.Loops.header) loops))
       in
-      if t.Analysis.Loops.headers <> headers then ok := false;
       let expect_widen =
         List.sort_uniq compare (headers @ List.map snd fr.Analysis.Loops.irreducible)
       in

@@ -2,7 +2,7 @@
    corrupted function with the right check id and location, stay silent on
    well-formed IR, and find zero Error-severity diagnostics anywhere in the
    corpus — before optimization, after every pipeline pass (via
-   [Pipeline.run_with] with [Options.check]), under every configuration
+   [Pipeline.run_list] with [Options.check]), under every configuration
    preset. *)
 
 let check_id d = d.Check.Diagnostic.check
@@ -431,7 +431,7 @@ let test_corpus_clean_all_presets () =
             let opts =
               Transform.Pipeline.Options.(default |> with_config config |> with_check true)
             in
-            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
           with
           | r -> assert_clean r.Transform.Pipeline.func
           | exception Transform.Pipeline.Broken_invariant { pass; diagnostics } ->
@@ -455,9 +455,9 @@ let test_benchmark_suite_clean () =
               match
                 let opts =
                   Transform.Pipeline.Options.(
-                    default |> with_config config |> with_rounds 1 |> with_check true)
+                    default |> with_config config |> with_check true)
                 in
-                Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+                Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ~rounds:1 ()) f
               with
               | r -> assert_clean r.Transform.Pipeline.func
               | exception Transform.Pipeline.Broken_invariant { pass; diagnostics } ->
@@ -477,7 +477,7 @@ let prop_generated_pipeline_checked =
       let f = Workload.Generator.func ~seed ~name:"c" () in
       let r =
         let opts = Transform.Pipeline.Options.(default |> with_check true) in
-        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
       in
       not (Check.has_errors (Check.run_all r.Transform.Pipeline.func)))
 

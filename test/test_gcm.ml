@@ -37,7 +37,8 @@ let test_corpus_certified () =
     | exception Gcm.Rejected { diagnostics } ->
         Alcotest.failf "%s: plan rejected: %s" name
           (Check.Diagnostic.to_string (List.hd diagnostics))
-    | g, (s : Gcm.stats) ->
+    | g, p ->
+        let s = Gcm.stats p in
         ignore (Ssa.Verify.check g);
         Alcotest.(check int)
           (name ^ ": same block count") (Ir.Func.num_blocks f) (Ir.Func.num_blocks g);
@@ -60,8 +61,8 @@ let test_corpus_certified () =
    no-op), not a structurally equal copy. *)
 let test_noop_is_physical_identity () =
   let f = func_of_src "routine f(a) { return a + 1; }" in
-  let g, s = Gcm.run f in
-  Alcotest.(check int) "nothing to move" 0 s.Gcm.moved;
+  let g, p = Gcm.run f in
+  Alcotest.(check int) "nothing to move" 0 (Gcm.stats p).Gcm.moved;
   Alcotest.(check bool) "no-op returns the input" true (f == g)
 
 (* ------------------------------------------------------------------ *)
@@ -84,8 +85,8 @@ let test_licm_hoist () =
   let to_depth = Analysis.Loops.depth_at fr p.Gcm.target.(x) in
   Alcotest.(check int) "multiply starts in the loop" 1 from_depth;
   Alcotest.(check int) "multiply lands outside it" 0 to_depth;
-  let g, rs = Gcm.run f in
-  Alcotest.(check bool) "run moves it" true (rs.Gcm.moved >= 1);
+  let g, rp = Gcm.run f in
+  Alcotest.(check bool) "run moves it" true ((Gcm.stats rp).Gcm.moved >= 1);
   if not (Helpers.equivalent ~seed:43 f g) then Alcotest.fail "LICM rebuild changed behavior";
   (* In the rebuilt function the multiply really sits at loop depth 0. *)
   let gx = find_instr g (function Ir.Func.Binop (Ir.Types.Mul, _, _) -> true | _ -> false) in
@@ -112,11 +113,16 @@ let test_pipeline_with_gcm () =
       "routine f(a, n) { i = 0; s = 0; while (i < n) { s = s + a * 3; i = i + 1; } return s; \
        }"
   in
-  let opts = Transform.Pipeline.Options.(default |> with_gcm true) in
-  let r = Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f in
-  (match r.Transform.Pipeline.gcm_stats with
-  | None -> Alcotest.fail "gcm_stats missing under with_gcm"
-  | Some s -> Alcotest.(check bool) "pipeline GCM moved the invariant" true (s.Gcm.moved >= 1));
+  let r =
+    Transform.Pipeline.run_list Transform.Pipeline.Options.default
+      (Transform.Pipeline.standard_passes ~gcm:true ())
+      f
+  in
+  (match r.Transform.Pipeline.gcm_plan with
+  | None -> Alcotest.fail "gcm_plan missing with a GCM pass"
+  | Some p ->
+      Alcotest.(check bool) "pipeline GCM moved the invariant" true
+        ((Gcm.stats p).Gcm.moved >= 1));
   let has_gcm_timing =
     List.exists
       (fun t -> t.Transform.Pipeline.kind = Transform.Pipeline.Gcm)
@@ -125,14 +131,14 @@ let test_pipeline_with_gcm () =
   Alcotest.(check bool) "gcm pass timed" true has_gcm_timing;
   if not (Helpers.equivalent ~seed:47 f r.Transform.Pipeline.func) then
     Alcotest.fail "pipeline with GCM changed behavior";
-  (* Off by default: no stats, no pass. *)
+  (* Off by default: no plan, no pass. *)
   let r0 =
     Transform.Pipeline.run_list Transform.Pipeline.Options.default
-      (Transform.Pipeline.standard_passes Transform.Pipeline.Options.default)
+      (Transform.Pipeline.standard_passes ())
       f
   in
-  Alcotest.(check bool) "no gcm_stats by default" true
-    (r0.Transform.Pipeline.gcm_stats = None)
+  Alcotest.(check bool) "no gcm_plan by default" true
+    (r0.Transform.Pipeline.gcm_plan = None)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded illegal-plan mutants                                         *)

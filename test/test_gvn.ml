@@ -396,7 +396,7 @@ let prop_termination_passes =
     (fun seed ->
       let f = Workload.Generator.func ~seed ~name:"p" () in
       let st = Pgvn.Driver.run full f in
-      let loops = Analysis.Loops.compute (Analysis.Graph.of_func f) in
+      let loops = Analysis.Loops.forest (Analysis.Graph.of_func f) in
       (* passes bounded by a small constant plus the loop connectedness,
          which loop nesting approximates loosely — generous headroom *)
       st.Pgvn.State.stats.Pgvn.Run_stats.passes <= 8 + (3 * Analysis.Loops.max_nesting loops))

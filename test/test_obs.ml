@@ -391,7 +391,7 @@ let test_timings_agree_with_trace () =
           let o = Obs.create () in
           let r =
             let opts = Transform.Pipeline.Options.(default |> with_obs o) in
-            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
           in
           let from_trace = reconstruct_pass_totals (Obs.Trace.events o.Obs.trace) in
           (* A pass instance name can repeat within a round (dce runs three

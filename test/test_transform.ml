@@ -80,7 +80,7 @@ let prop_simplify_equiv =
       Validate.Equiv.ok (Validate.Equiv.check ~runs:4 ~pass:"simplify_cfg" f g))
 
 let run_std opts f =
-  Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+  Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
 
 let prop_pipeline =
   QCheck.Test.make ~name:"full pipeline preserves semantics" ~count:25
@@ -98,25 +98,6 @@ let prop_pipeline_monotone_size =
       let f = gen_func seed in
       let r = run_std Transform.Pipeline.Options.default f in
       Ir.Func.num_instrs r.Transform.Pipeline.func <= Ir.Func.num_instrs f)
-
-(* The deprecated wrapper's pin: [run_with opts] must behave exactly like
-   [run_list opts (standard_passes opts)] — same output function, same
-   pass lineup (names and kinds, in order), same accounting shape. *)
-let prop_run_with_equals_run_list =
-  QCheck.Test.make ~name:"run_with ≡ run_list (standard_passes)" ~count:25
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let f = gen_func seed in
-      let opts = Transform.Pipeline.Options.default in
-      let a = Transform.Pipeline.run_with opts f in
-      let b = run_std opts f in
-      a.Transform.Pipeline.func = b.Transform.Pipeline.func
-      && List.map
-           (fun t -> (t.Transform.Pipeline.pass, t.Transform.Pipeline.kind))
-           a.Transform.Pipeline.timings
-         = List.map
-             (fun t -> (t.Transform.Pipeline.pass, t.Transform.Pipeline.kind))
-             b.Transform.Pipeline.timings)
 
 let test_dce_removes_dead () =
   let f =
@@ -220,7 +201,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_apply_all_configs;
     QCheck_alcotest.to_alcotest prop_pipeline;
     QCheck_alcotest.to_alcotest prop_pipeline_monotone_size;
-    QCheck_alcotest.to_alcotest prop_run_with_equals_run_list;
     Alcotest.test_case "DCE removes dead code" `Quick test_dce_removes_dead;
     Alcotest.test_case "LVN removes local redundancy" `Quick test_lvn_removes_block_redundancy;
     Alcotest.test_case "LVN folds constants" `Quick test_lvn_folds_constants;

@@ -289,9 +289,9 @@ let test_pipeline_validates_corpus () =
           let r =
             let opts =
               Transform.Pipeline.Options.(
-                default |> with_config config |> with_rounds 1 |> with_validate Validate.All)
+                default |> with_config config |> with_validate Validate.All)
             in
-            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+            Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ~rounds:1 ()) f
           in
           match r.Transform.Pipeline.validation with
           | None -> Alcotest.failf "%s under %s: no validation report" name cname
@@ -312,10 +312,9 @@ let test_pipeline_validates_suite () =
               let r =
                 let opts =
                   Transform.Pipeline.Options.(
-                    default |> with_config config |> with_rounds 1
-                    |> with_validate Validate.All)
+                    default |> with_config config |> with_validate Validate.All)
                 in
-                Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+                Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ~rounds:1 ()) f
               in
               match r.Transform.Pipeline.validation with
               | Some v when Validate.Report.clean v -> ()
@@ -329,7 +328,7 @@ let test_validation_report_shape () =
   let f = Workload.Generator.func ~seed:4242 ~name:"w" () in
   let r =
     let opts = Transform.Pipeline.Options.(default |> with_validate Validate.All) in
-    Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes opts) f
+    Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
   in
   match r.Transform.Pipeline.validation with
   | None -> Alcotest.fail "expected a validation report"

@@ -35,7 +35,7 @@ let test_loop_knob () =
       ~profile:{ Workload.Generator.default_profile with loop_weight = 0; stmt_budget = 60 }
       ~seed:5 ~name:"w" ()
   in
-  let nesting f = Analysis.Loops.max_nesting (Analysis.Loops.compute (Analysis.Graph.of_func f)) in
+  let nesting f = Analysis.Loops.max_nesting (Analysis.Loops.forest (Analysis.Graph.of_func f)) in
   Alcotest.(check bool) "loops appear when requested" true (nesting with_loops > 0);
   Alcotest.(check int) "no loops when disabled" 0 (nesting without)
 
