@@ -333,10 +333,13 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
          [pred_closure] on for this action); every mode replays its
          verdicts against the interval analysis and the single-fact walk. *)
       let st = gvn () in
+      let ranges = Obs.span_o obs ~cat:"verify" "pred.crosscheck" @@ fun () ->
+        Absint.Ranges.run ?obs f
+      in
       (match mode with
       | Pcheck -> ()
       | Pdump ->
-          let pf = Pred.Facts.compute f in
+          let pf = Absint.Ranges.branch_facts ranges in
           Fmt.pf ppf "--- dominating facts ---@.";
           for b = 0 to Ir.Func.num_blocks f - 1 do
             match Pred.Facts.at_block pf b with
@@ -349,9 +352,6 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
             "pred: %d queries | %d decided true | %d decided false | %d contradictions@."
             s.Pgvn.Run_stats.pred_closure_queries s.Pgvn.Run_stats.pred_decided_true
             s.Pgvn.Run_stats.pred_decided_false s.Pgvn.Run_stats.pred_contradictions);
-      let ranges = Obs.span_o obs ~cat:"verify" "pred.crosscheck" @@ fun () ->
-        Absint.Ranges.run ?obs f
-      in
       crosscheck ppf ~failed ~ranges st
   | Analyze mode ->
       let st = gvn () in

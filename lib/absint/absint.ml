@@ -3,17 +3,16 @@
    dynamic translation validation):
 
    - {!Domain}: the [LATTICE]/[TRANSFER] functor contracts;
-   - {!Sparse}: the Wegman–Zadeck-style two-worklist engine;
+   - {!Sparse}: the Wegman–Zadeck-style two-worklist engine, refined by
+     the branch-edge facts of [Pred.Facts];
    - {!Itv}/{!Ranges}: signed intervals with widening at loop headers;
    - {!Konst}/{!Consts}: SCCP constants extended with copies;
-   - {!Refine}: structural branch-predicate refinement on CFG edges;
    - {!Crosscheck}: static replay of a GVN run's decided branches and
      φ-predicate inferences against interval facts. *)
 
 module Domain = Domain
 module Itv = Itv
 module Konst = Konst
-module Refine = Refine
 module Sparse = Sparse
 module Ranges = Ranges
 module Consts = Consts

@@ -29,11 +29,11 @@
    claim is flagged only when the interval semantics *definitely* refutes
    it — never on mere disagreement of precision. Claims are skipped at
    blocks the interval analysis already proved unexecutable (or that a
-   dominating [x = y] edge proves dead with disjoint intervals), when a refined
-   environment is bottom (the conjunction of dominating guards is already
-   absurd, so the claim is vacuous), and when an operand's definition does
-   not dominate the claim site (its interval does not constrain the
-   hypothetical class value there). *)
+   dominating [x = y] branch-edge fact proves dead with disjoint
+   intervals), when a refined environment is bottom (the conjunction of
+   dominating guards is already absurd, so the claim is vacuous), and when
+   an operand's definition does not dominate the claim site (its interval
+   does not constrain the hypothetical class value there). *)
 
 type site = Sblock of int | Svalue of int
 
@@ -84,33 +84,23 @@ let run ?ranges (st : Pgvn.State.t) : report =
     contras := { site; claim; refutation } :: !contras
   in
   let env b v = Ranges.env_at res b v in
-  (* The interval refinement only knows value-versus-constant guards, but
-     the engine's value inference also uses a dominating [x = y] edge. When
-     the two intervals are disjoint at [b], that edge proves [b] dead, and
+  (* The interval refinement reads only value-versus-constant facts, but
+     the engine's value inference also uses a dominating [x = y] fact. When
+     the two intervals are disjoint at [b], that fact proves [b] dead, and
      any claim there is vacuous: the engine may soundly derive facts the
      intervals exclude. *)
-  let equated e =
-    let edge = Ir.Func.edge f e in
-    match Ir.Func.instr f (Ir.Func.terminator_of_block f edge.Ir.Func.src) with
-    | Ir.Func.Branch c -> (
-        match (Ir.Func.instr f c, edge.Ir.Func.src_ix) with
-        | Ir.Func.Cmp (Ir.Types.Eq, x, y), 0 | Ir.Func.Cmp (Ir.Types.Ne, x, y), 1 -> Some (x, y)
-        | _ -> None)
-    | _ -> None
-  in
-  let rec dead_by_equality b d =
-    d >= 0
-    && ((match (Ir.Func.block f d).Ir.Func.preds with
-        | [| e |] -> (
-            match equated e with
-            | Some (x, y) -> Itv.is_bottom (Itv.meet (env b x) (env b y))
-            | None -> false)
+  let facts = Ranges.branch_facts res in
+  let equated_apart b =
+    List.exists
+      (function
+        | { Pred.Atom.op = Ir.Types.Eq; a = Pred.Atom.Term x; b = Pred.Atom.Term y } ->
+            Itv.is_bottom (Itv.meet (env b x) (env b y))
         | _ -> false)
-       || dead_by_equality b dom.Analysis.Dom.idom.(d))
+      (Pred.Facts.at_block facts b)
   in
   let live =
     Array.init (Ir.Func.num_blocks f) (fun b ->
-        res.Ranges.block_exec.(b) && not (dead_by_equality b b))
+        res.Ranges.block_exec.(b) && not (equated_apart b))
   in
   let live b = live.(b) in
 

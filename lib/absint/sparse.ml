@@ -8,12 +8,49 @@
 
    Two additions over plain SCCP:
 
-   - refinement (on by default): facts are read through the static edge
-     constraints of {!Refine}, so a use guarded by [x < 10] sees the
-     guarded fact even though the definition's stored fact is wider;
+   - refinement (on by default): facts are read through the branch-edge
+     facts of [Pred.Facts] — the value-versus-constant atoms holding on
+     entry to a block or along an edge — so a use guarded by [x < 10] sees
+     the guarded fact even though the definition's stored fact is wider.
+     The atoms are syntactic, so the fixpoint stays monotone: refinement
+     never depends on evolving facts or on executability;
    - widening: at natural-loop headers (from [Analysis.Loops]) φ joins go
      through [D.widen], bounding climb height on infinite-height domains;
      a per-value fuse forces [top] if a fact still somehow keeps rising. *)
+
+(* [Pred.Atom.make] puts the constant first, so an atom [k op v] about
+   value [v] reads [v (swap_cmp op) k]. Atoms between two values (and the
+   constant-folded [never]) do not refine a single value's fact. *)
+let rec count_about v n = function
+  | [] -> n
+  | { Pred.Atom.a = Pred.Atom.Const _; b = Pred.Atom.Term x; _ } :: rest when x = v ->
+      count_about v (n + 1) rest
+  | _ :: rest -> count_about v n rest
+
+let rec refine_pass refine v d = function
+  | [] -> d
+  | { Pred.Atom.op; a = Pred.Atom.Const k; b = Pred.Atom.Term x } :: rest when x = v ->
+      refine_pass refine v (refine d (Ir.Types.swap_cmp op) k) rest
+  | _ :: rest -> refine_pass refine v d rest
+
+(* Fold the atoms about value [v] over a domain's [refine].
+
+   A single pass is order-sensitive: disequalities bite only at interval
+   boundaries, so [x ≠ 3] refines nothing before [x > 2] arrives but
+   sharpens [3,∞) to [4,∞) after it. The dominator-chain order of the
+   atoms is structural, not semantic, so iterate to a bounded fixpoint
+   instead: ordered bounds and equalities are idempotent and each
+   disequality can bite at most twice (once per boundary), so [2n + 1]
+   passes over [n] relevant atoms provably stabilize any reductive
+   [refine]. *)
+let apply (type d) (refine : d -> Ir.Types.cmp -> int -> d) (atoms : Pred.Atom.t list)
+    (v : Ir.Func.value) (d : d) : d =
+  match count_about v 0 atoms with
+  | 0 -> d
+  | 1 -> refine_pass refine v d atoms
+  | n ->
+      let rec go i d = if i = 0 then d else go (i - 1) (refine_pass refine v d atoms) in
+      go ((2 * n) + 1) d
 
 module Make (D : Domain.TRANSFER) = struct
   type result = {
@@ -21,8 +58,21 @@ module Make (D : Domain.TRANSFER) = struct
     facts : D.t array;  (** per instruction id; unrefined fact of each def *)
     block_exec : bool array;
     edge_exec : bool array;
-    refinement : Refine.t option;  (** present when refinement was enabled *)
+    refinement : Pred.Facts.t option;  (** present when refinement was enabled *)
   }
+
+  (* The fact [d] of value [v] as seen from block [b] (resp. while
+     traversing edge [e]): [d] meeting every branch-edge fact about [v]
+     holding there. Values no fact names skip the scan. *)
+  let refine_at_block refinement b v d =
+    match refinement with
+    | Some r when Pred.Facts.mentions r v -> apply D.refine (Pred.Facts.at_block r b) v d
+    | _ -> d
+
+  let refine_on_edge refinement e v d =
+    match refinement with
+    | Some r when Pred.Facts.mentions r v -> apply D.refine (Pred.Facts.at_edge r e) v d
+    | _ -> d
 
   (* Updates a single fact may receive before being forced to [top]. The
      interval domain widens at loop headers, so real chains are short;
@@ -38,13 +88,7 @@ module Make (D : Domain.TRANSFER) = struct
     let facts = Array.make ni D.bottom in
     let edge_exec = Array.make (Ir.Func.num_edges f) false in
     let block_exec = Array.make (Ir.Func.num_blocks f) false in
-    let refinement = if refine then Some (Refine.compute f) else None in
-    let constrs_at_block b =
-      match refinement with Some r -> Refine.at_block r b | None -> []
-    in
-    let constrs_at_edge e =
-      match refinement with Some r -> Refine.at_edge f r e | None -> []
-    in
+    let refinement = if refine then Some (Pred.Facts.compute f) else None in
     let widen_at = Array.make (Ir.Func.num_blocks f) false in
     (* Widen at every retreating-edge target: natural-loop headers plus the
        targets of irreducible retreating edges, which head a cycle even
@@ -64,21 +108,22 @@ module Make (D : Domain.TRANSFER) = struct
         Array.iter (fun u -> Queue.add u ssa_work) def_use.(v)
       end
     in
-    let env cs v = Refine.apply D.refine cs v facts.(v) in
+    let env b v = refine_at_block refinement b v facts.(v) in
+    let env_on_edge e v = refine_on_edge refinement e v facts.(v) in
     let eval_instr i =
       let b = Ir.Func.block_of_instr f i in
       if block_exec.(b) then
-        let cs = constrs_at_block b in
+        let env = env b in
         match Ir.Func.instr f i with
         | Ir.Func.Const n -> raise_fact i (D.const n)
         | Ir.Func.Param k -> raise_fact i (D.param k)
         | Ir.Func.Opaque (tag, args) ->
-            raise_fact i (D.opaque tag (Array.to_list (Array.map (env cs) args)))
-        | Ir.Func.Unop (op, a) -> raise_fact i (D.unop op (a, env cs a))
+            raise_fact i (D.opaque tag (Array.to_list (Array.map env args)))
+        | Ir.Func.Unop (op, a) -> raise_fact i (D.unop op (a, env a))
         | Ir.Func.Binop (op, a, b') ->
-            raise_fact i (D.binop op (a, env cs a) (b', env cs b'))
+            raise_fact i (D.binop op (a, env a) (b', env b'))
         | Ir.Func.Cmp (op, a, b') ->
-            raise_fact i (D.cmp op (a, env cs a) (b', env cs b'))
+            raise_fact i (D.cmp op (a, env a) (b', env b'))
         | Ir.Func.Phi args ->
             let preds = (Ir.Func.block f b).Ir.Func.preds in
             let j = ref D.bottom in
@@ -86,7 +131,7 @@ module Make (D : Domain.TRANSFER) = struct
               (fun ix e ->
                 if edge_exec.(e) then
                   let a = args.(ix) in
-                  j := D.join !j (D.phi_arg a (env (constrs_at_edge e) a)))
+                  j := D.join !j (D.phi_arg a (env_on_edge e a)))
               preds;
             let d = if widen_at.(b) then D.widen facts.(i) (D.join facts.(i) !j) else !j in
             raise_fact i d
@@ -94,12 +139,11 @@ module Make (D : Domain.TRANSFER) = struct
     in
     let eval_terminator b =
       let blk = Ir.Func.block f b in
-      let cs = constrs_at_block b in
       let feasible d = not (D.is_bottom d) in
       match Ir.Func.instr f (Ir.Func.terminator_of_block f b) with
       | Ir.Func.Jump -> Queue.add blk.Ir.Func.succs.(0) flow_work
       | Ir.Func.Branch c ->
-          let d = env cs c in
+          let d = env b c in
           if feasible d then begin
             if feasible (D.refine d Ir.Types.Ne 0) then
               Queue.add blk.Ir.Func.succs.(0) flow_work;
@@ -107,7 +151,7 @@ module Make (D : Domain.TRANSFER) = struct
               Queue.add blk.Ir.Func.succs.(1) flow_work
           end
       | Ir.Func.Switch (c, cases) ->
-          let d = env cs c in
+          let d = env b c in
           if feasible d then begin
             Array.iteri
               (fun ix case ->
@@ -172,16 +216,15 @@ module Make (D : Domain.TRANSFER) = struct
 
   let fact res v = res.facts.(v)
 
+  (* The branch-edge facts the run refined through; computed here when the
+     run had refinement off. *)
+  let branch_facts res =
+    match res.refinement with Some r -> r | None -> Pred.Facts.compute res.func
+
   (* The fact for value [v] as seen from block [b]: the stored fact meeting
-     every refinement constraint holding on entry to [b]. *)
-  let env_at res b v =
-    match res.refinement with
-    | None -> res.facts.(v)
-    | Some r -> Refine.apply D.refine (Refine.at_block r b) v res.facts.(v)
+     every branch-edge fact holding on entry to [b]. *)
+  let env_at res b v = refine_at_block res.refinement b v res.facts.(v)
 
   (* Same, as seen while traversing edge [e]. *)
-  let env_on_edge res e v =
-    match res.refinement with
-    | None -> res.facts.(v)
-    | Some r -> Refine.apply D.refine (Refine.at_edge res.func r e) v res.facts.(v)
+  let env_on_edge res e v = refine_on_edge res.refinement e v res.facts.(v)
 end

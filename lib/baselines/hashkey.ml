@@ -40,6 +40,5 @@ type arena = HC.arena
 
 let create_arena ?(size = 256) () = HC.create ~size ()
 let intern = HC.hashcons
-let arena_stats = HC.stats
 
 module Consed_table = HC.Tbl

@@ -30,6 +30,5 @@ type arena
 
 val create_arena : ?size:int -> unit -> arena
 val intern : arena -> t -> consed
-val arena_stats : arena -> Util.Hashcons.stats
 
 module Consed_table : Hashtbl.S with type key = consed

@@ -11,7 +11,7 @@
       pure instructions, trivial φs, forwarder blocks, constant branches).
 
     Checkers return {!Diagnostic.t} lists and never raise; {!check_exn} is
-    the bridge for legacy raise-on-error callers such as [Ssa.Verify]. *)
+    the raise-on-error entry point. *)
 
 module Diagnostic = Diagnostic
 module Cfg = Cfg_check

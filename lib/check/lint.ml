@@ -194,7 +194,7 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
      dominating branch facts (lib/pred) sees guard conjunctions that both
      the bare CFG and one-value interval refinement miss — x < y together
      with y < x, or x > 2 with x ≠ 3 deciding x > 3.                     *)
-  let pfacts = Pred.Facts.compute f in
+  let pfacts = Absint.Ranges.branch_facts res in
   let dom = Analysis.Dom.compute g in
   let contra b = Pred.Closure.contradictory (Pred.Facts.closure_at_block pfacts b) in
   (* Contradictory path conditions: the guards on the dominator path to a

@@ -49,9 +49,9 @@ let run ?placement (f : Ir.Func.t) : Diagnostic.t list =
        A destination clears a division if its refined intervals do, or if
        the multi-fact implication closure over its dominating branch facts
        does — guard conjunctions like [d != 0 && d != -1] are invisible to
-       intervals. Both are recomputed here from first principles. *)
+       intervals. Both come from one interval run, recomputed here from
+       first principles. *)
     let ranges = lazy (Absint.Ranges.run f) in
-    let pfacts = lazy (Pred.Facts.compute f) in
     let cleared_at b v =
       match Ir.Func.instr f v with
       | Ir.Func.Binop ((Ir.Types.Div | Ir.Types.Rem), n, d) ->
@@ -61,7 +61,7 @@ let run ?placement (f : Ir.Func.t) : Diagnostic.t list =
           ((not (Absint.Itv.mem 0 den))
           && not (Absint.Itv.mem (-1) den && Absint.Itv.mem min_int num))
           ||
-          let cl = Pred.Facts.closure_at_block (Lazy.force pfacts) b in
+          let cl = Pred.Facts.closure_at_block (Absint.Ranges.branch_facts r) b in
           let proves op a c =
             Pred.Closure.decide cl op a (Pred.Atom.Const c) = Pred.Closure.True
           in

@@ -3,7 +3,6 @@
     uses, per-edge availability for φ arguments, and no reachable use of a
     definition in an unreachable block.
 
-    Subsumes the old [Ssa.Verify] exception-based check (which is now a thin
-    wrapper over this module). Assumes {!Cfg_check} reported no errors. *)
+    Assumes {!Cfg_check} reported no errors. *)
 
 val run : Ir.Func.t -> Diagnostic.t list

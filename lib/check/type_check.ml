@@ -24,8 +24,6 @@ let join a b =
 
 let le_bool = function Bot | Bool -> true | Int -> false
 
-let string_of_ty = function Bot -> "bot" | Bool -> "bool" | Int -> "int"
-
 let infer (f : Ir.Func.t) : ty array =
   let ni = num_instrs f in
   let tys = Array.make ni Bot in

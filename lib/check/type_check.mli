@@ -9,7 +9,6 @@
 type ty = Bot | Bool | Int
 
 val join : ty -> ty -> ty
-val string_of_ty : ty -> string
 
 val infer : Ir.Func.t -> ty array
 (** Per-value refinement type; terminators (which define no value) get

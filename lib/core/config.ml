@@ -114,5 +114,3 @@ let mode_to_string = function
   | Optimistic -> "optimistic"
   | Balanced -> "balanced"
   | Pessimistic -> "pessimistic"
-
-let variant_to_string = function Practical -> "practical" | Complete -> "complete"

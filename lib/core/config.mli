@@ -73,4 +73,3 @@ val emulate_sccp_exact : t
     matches the independent [Baselines.Sccp] implementation. *)
 
 val mode_to_string : mode -> string
-val variant_to_string : variant -> string

@@ -204,7 +204,6 @@ let create (config : Config.t) (f : Ir.Func.t) =
   }
 
 let cls t c = Util.Vec.get t.classes c
-let rank_of t v = t.rank.(v)
 
 (* The class leader of a value, as the atomic expression symbolic evaluation
    substitutes for it. [None] while the value is still in INITIAL (⊥). *)

@@ -75,7 +75,6 @@ val create : Config.t -> Ir.Func.t -> t
     touched. *)
 
 val cls : t -> int -> cls
-val rank_of : t -> Ir.Func.value -> int
 
 val leader_atom : t -> Ir.Func.value -> Hexpr.t option
 (** The atomic expression symbolic evaluation substitutes for a value: its

@@ -205,8 +205,3 @@ let lower_routine (r : Ast.routine) : Cir.t =
         { Cir.body = Util.Vec.to_array body; term })
   in
   Cir.prune_unreachable { Cir.name = r.name; nparams; nregs = st.nregs; blocks }
-
-let lower_program rs = List.map lower_routine rs
-
-(* Convenience: parse and lower a single mini-C routine from source. *)
-let routine_of_string src = lower_routine (Parser.parse_one src)

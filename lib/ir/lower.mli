@@ -8,8 +8,3 @@ val tag_of_name : string -> int
 
 val lower_routine : Ast.routine -> Cir.t
 (** @raise Failure on [break]/[continue] outside a loop. *)
-
-val lower_program : Ast.routine list -> Cir.t list
-
-val routine_of_string : string -> Cir.t
-(** Parse and lower a single-routine source. *)

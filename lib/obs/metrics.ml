@@ -79,8 +79,6 @@ let observe_ns t name ns =
   Hist.observe_ns (hist_u t name) ns;
   t.sink.Sink.emit (Sink.Observe { name; ns; ts = t.clock () })
 
-let hist t name = locked t @@ fun () -> Hashtbl.find_opt t.hists name
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;

@@ -7,8 +7,7 @@
     A registry is safe under concurrent writers: every operation takes the
     registry's internal mutex, so totals are exact whichever domains bump
     them (sink callbacks run inside that mutex and must not re-enter the
-    registry). {!hist} hands back the live histogram — treat it as
-    read-only once concurrent writers exist, or use {!snapshot}. *)
+    registry). Read histograms through {!snapshot}. *)
 
 type t
 
@@ -32,7 +31,6 @@ val gauge : t -> string -> float option
 (** {1 Latency histograms} *)
 
 val observe_ns : t -> string -> int -> unit
-val hist : t -> string -> Hist.t option
 
 (** {1 Snapshots} *)
 

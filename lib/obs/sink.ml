@@ -13,18 +13,9 @@ let memory () =
   let log = ref [] in
   ({ emit = (fun e -> log := e :: !log) }, fun () -> List.rev !log)
 
-let tee a b = { emit = (fun e -> a.emit e; b.emit e) }
-
 let event_name = function
   | Span_begin { name; _ }
   | Span_end { name; _ }
   | Count { name; _ }
   | Gauge { name; _ }
   | Observe { name; _ } -> name
-
-let pp_event ppf = function
-  | Span_begin { name; cat; depth; _ } -> Fmt.pf ppf "B %s [%s] depth=%d" name cat depth
-  | Span_end { name; cat; dur; _ } -> Fmt.pf ppf "E %s [%s] %.6fs" name cat dur
-  | Count { name; incr; total; _ } -> Fmt.pf ppf "C %s +%d -> %d" name incr total
-  | Gauge { name; value; _ } -> Fmt.pf ppf "G %s = %g" name value
-  | Observe { name; ns; _ } -> Fmt.pf ppf "H %s <- %dns" name ns

@@ -24,8 +24,4 @@ val null : t
 val memory : unit -> t * (unit -> event list)
 (** A capturing sink and the accessor for what it saw (oldest first). *)
 
-val tee : t -> t -> t
-(** Forward every event to both sinks. *)
-
 val event_name : event -> string
-val pp_event : Format.formatter -> event -> unit

@@ -13,6 +13,10 @@ val term_of : Ir.Func.t -> Ir.Func.value -> Atom.term
 (** The atom term naming a value: [Const k] for constant definitions
     (so the closure sees exact bounds), [Term v] otherwise. *)
 
+val mentions : t -> Ir.Func.value -> bool
+(** Whether any collected fact may name the value. [false] means no
+    fact at any block or edge constrains it. *)
+
 val at_block : t -> int -> Atom.t list
 (** Facts holding on entry to the block (and, values being immutable,
     at every point the block dominates). *)
@@ -21,11 +25,7 @@ val at_edge : t -> int -> Atom.t list
 (** Facts holding whenever the edge is traversed: the edge's own facts
     plus those of its source block. *)
 
-val edge_facts : Ir.Func.t -> int -> Atom.t list
-(** Facts established by traversing one edge, from its terminator alone. *)
-
 val closure_at_block : t -> int -> Closure.t
-val closure_at_edge : t -> int -> Closure.t
-(** Convenience: {!Closure.of_facts} over [at_block]/[at_edge]. *)
+(** Convenience: {!Closure.of_facts} over [at_block]. *)
 
 val pp_facts : Format.formatter -> Atom.t list -> unit

@@ -203,7 +203,7 @@ let compute ?obs (f : Ir.Func.t) : t =
      interval-based pin was conservative: upgrade to Proven, clamp early to
      the clearing block, and reschedule, giving the value a real range. *)
   let fact_upgrades = ref 0 in
-  let facts = lazy (Pred.Facts.compute f) in
+  let facts = Absint.Ranges.branch_facts ranges in
   for v = 0 to ni - 1 do
     match safety.(v) with
     | Speculate.Pinned (Speculate.May_trap _)
@@ -220,7 +220,7 @@ let compute ?obs (f : Ir.Func.t) : t =
         let cleared = ref (-1) in
         let a = ref dom.Analysis.Dom.idom.(b) in
         while !a >= 0 && dom.Analysis.Dom.depth.(!a) >= dom.Analysis.Dom.depth.(!e) do
-          if Speculate.cleared_by_facts (Lazy.force facts) f ~block:!a v then cleared := !a;
+          if Speculate.cleared_by_facts facts f ~block:!a v then cleared := !a;
           a := dom.Analysis.Dom.idom.(!a)
         done;
         if !cleared >= 0 then begin

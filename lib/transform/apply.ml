@@ -34,14 +34,15 @@ let plan_rewrites (st : Pgvn.State.t) (f : Ir.Func.t) (dom : Analysis.Dom.t) =
 (* Rebuild, leaving an audit trail: one {!Validate.Witness} per rewrite
    decision (constant fold, leader replacement, φ collapse, dropped edge or
    block), phrased in the input function's ids so the translation validator
-   can replay them. *)
+   can replay them. [f] must be the function [st] analyzed: its dominators
+   and RPO are read from the state. *)
 let rebuild_witnessed (st : Pgvn.State.t) (f : Ir.Func.t) :
     Ir.Func.t * Validate.Witness.t list =
+  if f != st.Pgvn.State.f then
+    invalid_arg "Apply.rebuild: the function is not the one the GVN state analyzed";
   let witnesses = ref [] in
   let witness w = witnesses := w :: !witnesses in
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
-  let rewrites = plan_rewrites st f dom in
+  let rewrites = plan_rewrites st f st.Pgvn.State.dom in
   let nb = Ir.Func.num_blocks f in
   let bld = Ir.Builder.create ~name:f.Ir.Func.name ~nparams:f.Ir.Func.nparams in
   (* New block ids for reachable blocks, in original order (entry stays 0). *)
@@ -127,8 +128,9 @@ let rebuild_witnessed (st : Pgvn.State.t) (f : Ir.Func.t) :
   in
   (* Emit in RPO so operand definitions (which dominate their uses) are
      always emitted before the instructions that resolve them. *)
-  let rpo = Analysis.Rpo.compute g in
-  Array.iter (fun b -> if block_map.(b) >= 0 then emit_block b) rpo.Analysis.Rpo.order;
+  Array.iter
+    (fun b -> if block_map.(b) >= 0 then emit_block b)
+    st.Pgvn.State.rpo.Analysis.Rpo.order;
   (* Terminators: create edges (only reachable ones), remembering the new
      edge id that corresponds to each old reachable edge. *)
   let edge_map = Array.make (Ir.Func.num_edges f) (-1) in

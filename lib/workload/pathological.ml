@@ -57,5 +57,3 @@ let straightline n : Ast.routine =
     params = [ "p0" ];
     body = body @ [ Ast.Sreturn (Ast.Evar (Printf.sprintf "s%d" (n - 1))) ];
   }
-
-let straightline_func n = Ssa.Construct.of_cir (Ir.Lower.lower_routine (straightline n))

@@ -10,5 +10,3 @@ val ladder_func : int -> Ir.Func.t
 val straightline : int -> Ir.Ast.routine
 (** A long straight-line block of pairwise-redundant additions: scaling
     measurements over it should be linear. *)
-
-val straightline_func : int -> Ir.Func.t

@@ -22,7 +22,7 @@ let run_and_return config src =
 let optimize config f =
   let st = Pgvn.Driver.run config f in
   let g = Transform.Simplify_cfg.fixpoint (Transform.Dce.run (Transform.Apply.rebuild st f)) in
-  ignore (Ssa.Verify.check g);
+  ignore (Check.check_exn g);
   g
 
 (* Behavioural equivalence on random inputs. *)

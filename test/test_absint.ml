@@ -285,6 +285,29 @@ let test_refinement_proves_contradiction_dead () =
     "contradictorily-guarded block cannot execute" false
     res.Absint.Ranges.block_exec.(!b9)
 
+(* The front end spells [-1] as a negated constant; the branch-edge facts
+   fold it, so a guard [a == -1] pins [a] in both sparse analyses. *)
+let test_refinement_negative_constant_guard () =
+  let f =
+    Helpers.func_of_src "routine m(a) { r = 0; if (a == -1) { r = a + 7; } return r; }"
+  in
+  let a = ref (-1) and b7 = ref (-1) in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Ir.Func.Param 0 -> a := i
+      | Ir.Func.Const 7 -> b7 := Ir.Func.block_of_instr f i
+      | _ -> ())
+    f.Ir.Func.instrs;
+  Alcotest.(check bool) "found the parameter and the guarded block" true (!a >= 0 && !b7 >= 0);
+  let ranges = Absint.Ranges.run f and consts = Absint.Consts.run f in
+  Alcotest.(check string)
+    "interval under the guard" "[-1, -1]"
+    (Fmt.to_to_string Itv.pp (Absint.Ranges.env_at ranges !b7 !a));
+  Alcotest.(check (option int))
+    "constant under the guard" (Some (-1))
+    (Absint.Konst.is_const (Absint.Consts.env_at consts !b7 !a))
+
 (* Order-robust disequality refinement. The constraints a block inherits
    arrive in dominator-chain order, and switch-case exclusions in case
    order — neither is a semantic order. Disequalities bite only at domain
@@ -457,6 +480,8 @@ let suite =
         test_switch_default_decided;
       Alcotest.test_case "contradictory guards prove a block dead" `Quick
         test_refinement_proves_contradiction_dead;
+      Alcotest.test_case "a negative-constant guard pins the value" `Quick
+        test_refinement_negative_constant_guard;
       Alcotest.test_case "crosscheck: corpus clean under every config" `Quick
         test_crosscheck_corpus;
       Alcotest.test_case "crosscheck: ten benchmarks, zero contradictions" `Quick

@@ -160,7 +160,7 @@ let prop_prepass_sound =
     (fun seed ->
       let f = gen_func seed in
       let g = Baselines.Briggs_prepass.run f in
-      ignore (Ssa.Verify.check g);
+      ignore (Check.check_exn g);
       Helpers.equivalent ~seed:(seed + 1) f g)
 
 let test_prepass_figure13 () =

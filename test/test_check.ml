@@ -99,10 +99,10 @@ let test_use_not_dominated () =
   Ir.Builder.ret bld b2 x;
   let f = Ir.Builder.finish bld in
   assert_fires "ssa-dominance" f;
-  (* The legacy wrapper still raises on it. *)
-  match Ssa.Verify.check f with
+  (* The raise-on-error entry point rejects it too. *)
+  match Check.check_exn f with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "Ssa.Verify.check accepted a non-dominating use"
+  | _ -> Alcotest.fail "Check.check_exn accepted a non-dominating use"
 
 let test_dangling_edge () =
   let f, _, _ = diamond () in

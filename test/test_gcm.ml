@@ -39,7 +39,7 @@ let test_corpus_certified () =
           (Check.Diagnostic.to_string (List.hd diagnostics))
     | g, p ->
         let s = Gcm.stats p in
-        ignore (Ssa.Verify.check g);
+        ignore (Check.check_exn g);
         Alcotest.(check int)
           (name ^ ": same block count") (Ir.Func.num_blocks f) (Ir.Func.num_blocks g);
         Alcotest.(check int)

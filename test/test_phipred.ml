@@ -102,7 +102,7 @@ let build_three_way ~c1 ~c2 ~c3 =
   ignore e_b0_b2;
   Ir.Builder.ret bld join phi;
   let f = Ir.Builder.finish bld in
-  (Ssa.Verify.check f, Ir.Builder.final_value bld phi)
+  (Check.check_exn f, Ir.Builder.final_value bld phi)
 
 let test_partial_predicate_shapes () =
   let f, _phi = build_three_way ~c1:1 ~c2:2 ~c3:3 in

@@ -15,7 +15,7 @@ let prop_verifies pruning name =
     QCheck.(int_bound 100000)
     (fun seed ->
       let f = build ~pruning seed in
-      match Ssa.Verify.check f with _ -> true | exception _ -> false)
+      match Check.check_exn f with _ -> true | exception _ -> false)
 
 let prop_pruning_semantics =
   QCheck.Test.make ~name:"all pruning variants are semantically equivalent" ~count:40
@@ -70,7 +70,7 @@ let test_loop_phi_placement () =
   in
   (* i needs a phi at the loop header; n does not (single definition). *)
   Alcotest.(check int) "one phi at the loop header" 1 (count_phis f);
-  ignore (Ssa.Verify.check f)
+  ignore (Check.check_exn f)
 
 let test_verify_rejects_bad_ssa () =
   (* A use before its definition in the same block must be rejected: build
@@ -87,7 +87,7 @@ let test_verify_rejects_bad_ssa () =
   Ir.Builder.ret bld b1 x;
   Ir.Builder.ret bld b2 x (* use of x not dominated by its definition *);
   let f = Ir.Builder.finish bld in
-  match Ssa.Verify.check f with
+  match Check.check_exn f with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "verifier accepted a non-dominating use"
 

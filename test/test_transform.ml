@@ -9,7 +9,7 @@ let preserves name pass =
     (fun seed ->
       let f = gen_func seed in
       let g = pass f in
-      ignore (Ssa.Verify.check g);
+      ignore (Check.check_exn g);
       Helpers.equivalent ~seed:(seed + 2) f g)
 
 let prop_dce = preserves "DCE preserves semantics" Transform.Dce.run
@@ -24,7 +24,7 @@ let prop_apply_all_configs =
       List.for_all
         (fun (_, config) ->
           let g = Transform.Apply.optimize ~config f in
-          ignore (Ssa.Verify.check g);
+          ignore (Check.check_exn g);
           Helpers.equivalent ~seed:(seed + 3) f g)
         Helpers.all_configs)
 
@@ -74,7 +74,7 @@ let prop_simplify_equiv =
     (fun seed ->
       let f = gen_func seed in
       let g = Transform.Simplify_cfg.fixpoint f in
-      ignore (Ssa.Verify.check g);
+      ignore (Check.check_exn g);
       (* Block merging and edge folding re-home φ arguments; any slip shows
          up as a behavioral divergence on the battery. *)
       Validate.Equiv.ok (Validate.Equiv.check ~runs:4 ~pass:"simplify_cfg" f g))
@@ -88,7 +88,7 @@ let prop_pipeline =
     (fun seed ->
       let f = gen_func seed in
       let r = run_std Transform.Pipeline.Options.default f in
-      ignore (Ssa.Verify.check r.Transform.Pipeline.func);
+      ignore (Check.check_exn r.Transform.Pipeline.func);
       Helpers.equivalent ~seed:(seed + 4) f r.Transform.Pipeline.func)
 
 let prop_pipeline_monotone_size =

@@ -45,12 +45,12 @@ let test_suite_shape () =
   List.iter
     (fun ((b : Workload.Suite.benchmark), funcs) ->
       Alcotest.(check bool) (b.Workload.Suite.name ^ " nonempty") true (List.length funcs > 0);
-      List.iter (fun f -> ignore (Ssa.Verify.check f)) funcs)
+      List.iter (fun f -> ignore (Check.check_exn f)) funcs)
     suite
 
 let test_ladder_shape () =
   let f = Workload.Pathological.ladder_func 10 in
-  ignore (Ssa.Verify.check f);
+  ignore (Check.check_exn f);
   (* The full algorithm discovers the chained congruence: j = i_n + 1 under
      the guards is congruent to i_1 + 1. *)
   let st = Pgvn.Driver.run Pgvn.Config.full f in
