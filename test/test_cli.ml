@@ -391,6 +391,8 @@ let golden_sets =
     ("lint-analyze", [ "--lint"; "--analyze=all" ]);
     ("pred-stats", [ "--pred=stats" ]);
     ("schedule-dump", [ "--schedule=dump" ]);
+    ("pruning-minimal", [ "--pruning=minimal"; "--stats" ]);
+    ("pruning-pruned", [ "--pruning=pruned"; "--stats" ]);
   ]
 
 let golden_inputs () =
