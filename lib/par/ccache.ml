@@ -107,14 +107,13 @@ let canonical_form ?(fingerprint = "") (f : Ir.Func.t) =
     order;
   Buffer.contents buf
 
-(* FNV-1a, folded to OCaml's 63-bit nonnegative int range. *)
+(* FNV-1a, folded to OCaml's 63-bit nonnegative int range. The index loop
+   keeps [h] an unboxed local; a closure over it would box every step. *)
 let fnv1a s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
+  done;
   Int64.to_int !h land max_int
 
 let key_of ?fingerprint f =

@@ -45,6 +45,11 @@ val key_of : ?fingerprint:string -> Ir.Func.t -> key
 val canonical_form : ?fingerprint:string -> Ir.Func.t -> string
 (** The canonical form [key_of] hashes, exposed for tests and debugging. *)
 
+val fnv1a : string -> int
+(** The 64-bit FNV-1a hash [key_of] applies to the canonical form, folded
+    to a nonnegative [int]. Persisted [pgvn-ccache/1] files store it, so it
+    must not change. *)
+
 type t
 
 type stats = { entries : int; hits : int; misses : int; evictions : int }

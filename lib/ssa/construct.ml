@@ -18,61 +18,33 @@ let pruning_to_string = function
   | Semi_pruned -> "semi-pruned"
   | Pruned -> "pruned"
 
-(* Per-block upward-exposed uses and defs, for liveness and globals. *)
-let block_use_def (c : Ir.Cir.t) =
-  let n = Ir.Cir.num_blocks c in
-  let uses = Array.make n [] in
-  let defs = Array.init n (fun _ -> Array.make 0 false) in
-  let defs = Array.map (fun _ -> Array.make c.Ir.Cir.nregs false) defs in
-  for b = 0 to n - 1 do
-    let blk = c.Ir.Cir.blocks.(b) in
-    let add_use r = if not defs.(b).(r) then uses.(b) <- r :: uses.(b) in
-    Array.iter
-      (fun i ->
-        Ir.Cir.iter_uses_rinstr add_use i;
-        defs.(b).(Ir.Cir.def_of_rinstr i) <- true)
-      blk.Ir.Cir.body;
-    Ir.Cir.iter_uses_term add_use blk.Ir.Cir.term
-  done;
-  (uses, defs)
-
-(* Backward liveness to a fixpoint; returns live-in sets. *)
-let live_in (c : Ir.Cir.t) (g : Analysis.Graph.t) =
-  let n = Ir.Cir.num_blocks c in
-  let uses, defs = block_use_def c in
-  let livein = Array.init n (fun _ -> Array.make c.Ir.Cir.nregs false) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = n - 1 downto 0 do
-      (* live-out(b) = union of live-in of successors *)
-      let update r =
-        if (not defs.(b).(r)) && not livein.(b).(r) then begin
-          livein.(b).(r) <- true;
-          changed := true
+(* One scan of the body: per register, the blocks that define it and the
+   blocks where it is used before any definition in the same block
+   (upward-exposed). [defd.(r) = b] stamps "already defined in b". *)
+let def_use_blocks (c : Ir.Cir.t) =
+  let nregs = c.Ir.Cir.nregs in
+  let defs = Array.make nregs [] and uses = Array.make nregs [] in
+  let defd = Array.make nregs (-1) and used = Array.make nregs (-1) in
+  Array.iteri
+    (fun b (blk : Ir.Cir.block) ->
+      let use r =
+        if defd.(r) <> b && used.(r) <> b then begin
+          used.(r) <- b;
+          uses.(r) <- b :: uses.(r)
         end
       in
       Array.iter
-        (fun s ->
-          Array.iteri (fun r l -> if l then update r) livein.(s))
-        g.Analysis.Graph.succ.(b);
-      List.iter
-        (fun r ->
-          if not livein.(b).(r) then begin
-            livein.(b).(r) <- true;
-            changed := true
+        (fun i ->
+          Ir.Cir.iter_uses_rinstr use i;
+          let d = Ir.Cir.def_of_rinstr i in
+          if defd.(d) <> b then begin
+            defd.(d) <- b;
+            defs.(d) <- b :: defs.(d)
           end)
-        uses.(b)
-    done
-  done;
-  livein
-
-(* Registers live across a block boundary (Briggs's globals). *)
-let global_regs (c : Ir.Cir.t) =
-  let uses, _ = block_use_def c in
-  let globals = Array.make c.Ir.Cir.nregs false in
-  Array.iter (fun us -> List.iter (fun r -> globals.(r) <- true) us) uses;
-  globals
+        blk.body;
+      Ir.Cir.iter_uses_term use blk.term)
+    c.Ir.Cir.blocks;
+  (defs, uses)
 
 let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
   let c = Ir.Cir.prune_unreachable c in
@@ -81,40 +53,48 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
   let df = Analysis.Domfront.compute g dom in
   let n = Ir.Cir.num_blocks c in
   let nregs = c.Ir.Cir.nregs in
-  (* Definition sites per register; parameters are defined at entry. *)
-  let def_blocks = Array.make nregs [] in
-  for r = 0 to c.Ir.Cir.nparams - 1 do
-    def_blocks.(r) <- [ Ir.Cir.entry ]
-  done;
-  for b = 0 to n - 1 do
-    Array.iter
-      (fun i ->
-        let d = Ir.Cir.def_of_rinstr i in
-        def_blocks.(d) <- b :: def_blocks.(d))
-      c.Ir.Cir.blocks.(b).Ir.Cir.body
-  done;
-  let wants_phi =
-    match pruning with
-    | Minimal -> fun _r _b -> true
-    | Semi_pruned ->
-        let globals = global_regs c in
-        fun r _b -> globals.(r)
-    | Pruned ->
-        let livein = live_in c g in
-        fun r b -> livein.(b).(r)
-  in
-  (* Iterated dominance frontier placement. *)
-  let phi_here = Array.init n (fun _ -> Array.make nregs false) in
-  for r = 0 to nregs - 1 do
-    let onlist = Array.make n false in
+  let defs, uses = def_use_blocks c in
+  (* φ placement on iterated dominance frontiers, one register at a time in
+     ascending order. The three [n]-sized arrays are stamps holding the last
+     register that marked a block, so nothing is cleared between registers:
+     [onlist] (on the worklist; first the body definitions), [live]
+     ([Pruned] liveness) and [has_phi]. [phis.(b)] collects b's φ registers
+     in descending order. *)
+  let onlist = Array.make n (-1) and live = Array.make n (-1) in
+  let has_phi = Array.make n (-1) in
+  let phis = Array.make n [] in
+  let pruned = pruning = Pruned in
+  let place r =
     let work = ref [] in
     List.iter
       (fun b ->
-        if not onlist.(b) then begin
-          onlist.(b) <- true;
-          work := b :: !work
-        end)
-      def_blocks.(r);
+        onlist.(b) <- r;
+        work := b :: !work)
+      defs.(r);
+    (* [Pruned]: r is live-in at the blocks reached backward from its
+       upward-exposed uses without crossing a body definition. A parameter's
+       entry definition is not a body definition and does not stop the walk. *)
+    if pruned then begin
+      let rec walk = function
+        | [] -> ()
+        | b :: rest ->
+            walk
+              (Array.fold_left
+                 (fun acc p ->
+                   if live.(p) = r || onlist.(p) = r then acc
+                   else begin
+                     live.(p) <- r;
+                     p :: acc
+                   end)
+                 rest g.Analysis.Graph.pred.(b))
+      in
+      List.iter (fun u -> live.(u) <- r) uses.(r);
+      walk uses.(r)
+    end;
+    if r < c.Ir.Cir.nparams && onlist.(Ir.Cir.entry) <> r then begin
+      onlist.(Ir.Cir.entry) <- r;
+      work := Ir.Cir.entry :: !work
+    end;
     let rec drain () =
       match !work with
       | [] -> ()
@@ -122,10 +102,11 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
           work := rest;
           Array.iter
             (fun d ->
-              if (not phi_here.(d).(r)) && wants_phi r d then begin
-                phi_here.(d).(r) <- true;
-                if not onlist.(d) then begin
-                  onlist.(d) <- true;
+              if has_phi.(d) <> r && ((not pruned) || live.(d) = r) then begin
+                has_phi.(d) <- r;
+                phis.(d) <- r :: phis.(d);
+                if onlist.(d) <> r then begin
+                  onlist.(d) <- r;
                   work := d :: !work
                 end
               end)
@@ -133,18 +114,24 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
           drain ()
     in
     drain ()
+  in
+  (* Only Briggs's globals (registers with an upward-exposed use) can need a
+     φ under [Semi_pruned]; under [Pruned] no other register is live-in. *)
+  for r = 0 to nregs - 1 do
+    if pruning = Minimal || uses.(r) <> [] then place r
   done;
   (* Build the SSA function. *)
   let bld = Ir.Builder.create ~name:c.Ir.Cir.name ~nparams:c.Ir.Cir.nparams in
   for _ = 0 to n - 1 do
     ignore (Ir.Builder.add_block bld)
   done;
-  let phi_ids = Array.init n (fun _ -> Array.make nregs (-1)) in
-  for b = 0 to n - 1 do
-    for r = 0 to nregs - 1 do
-      if phi_here.(b).(r) then phi_ids.(b).(r) <- Ir.Builder.phi bld b
-    done
-  done;
+  (* φs are created block-major, register-ascending; [phi_ids.(b)] pairs
+     each of b's φ registers with its value. *)
+  let phi_ids =
+    Array.mapi
+      (fun b rs -> Array.map (fun r -> (r, Ir.Builder.phi bld b)) (Array.of_list (List.rev rs)))
+      phis
+  in
   (* Every register starts as 0 (parameters as themselves). *)
   let zero = Ir.Builder.const bld Ir.Cir.entry 0 in
   let params = Array.init c.Ir.Cir.nparams (fun k -> Ir.Builder.param bld Ir.Cir.entry k) in
@@ -160,9 +147,7 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
       stacks.(r) <- v :: stacks.(r);
       pushed := r :: !pushed
     in
-    for r = 0 to nregs - 1 do
-      if phi_here.(b).(r) then push r phi_ids.(b).(r)
-    done;
+    Array.iter (fun (r, v) -> push r v) phi_ids.(b);
     Array.iter
       (fun i ->
         match (i : Ir.Cir.rinstr) with
@@ -175,10 +160,7 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
             push d (Ir.Builder.opaque ~tag bld b (List.map top args)))
       c.Ir.Cir.blocks.(b).Ir.Cir.body;
     let fill_phi_args e s =
-      for r = 0 to nregs - 1 do
-        if phi_here.(s).(r) then
-          Ir.Builder.set_phi_arg bld ~phi:phi_ids.(s).(r) ~edge:e (top r)
-      done
+      Array.iter (fun (r, phi) -> Ir.Builder.set_phi_arg bld ~phi ~edge:e (top r)) phi_ids.(s)
     in
     (match c.Ir.Cir.blocks.(b).Ir.Cir.term with
     | Tjump d ->

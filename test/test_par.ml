@@ -173,6 +173,15 @@ let test_ccache_canonical_distinguishes () =
   Alcotest.(check bool) "fingerprint separates keys" false
     (String.equal k1.Par.Ccache.kcanon k2.Par.Ccache.kcanon)
 
+(* Persisted cache files store the key hash, so FNV-1a's values are pinned
+   to those of the original implementation. *)
+let test_ccache_fnv1a_pinned () =
+  Alcotest.(check int) "empty string" 860922984064492325 (Par.Ccache.fnv1a "");
+  Alcotest.(check int) "canonical form" 1153577357433786241
+    (Par.Ccache.fnv1a "b0:\n  v0 = param 0\n  return v0\n");
+  Alcotest.(check int) "every byte value" 162934782521718309
+    (Par.Ccache.fnv1a (String.init 256 Char.chr))
+
 (* ------------------------------------------------------------------ *)
 (* Ccache: in-memory tier.                                             *)
 
@@ -318,6 +327,7 @@ let suite =
       test_ccache_canonical_block_permutation;
     Alcotest.test_case "canonical form keeps semantic differences" `Quick
       test_ccache_canonical_distinguishes;
+    Alcotest.test_case "FNV-1a key hash is pinned" `Quick test_ccache_fnv1a_pinned;
     Alcotest.test_case "cache hit, miss, overwrite and eviction" `Quick test_ccache_hit_miss_evict;
     Alcotest.test_case "flag fingerprints never cross-serve" `Quick
       test_ccache_fingerprint_hit_miss;

@@ -106,6 +106,63 @@ let test_copy_coalescing () =
   | Ir.Interp.Ret 9 -> ()
   | r -> Alcotest.failf "wrong result %a" Ir.Interp.pp_result r
 
+(* The linear construction must print exactly what the dense reference
+   construction (test/ssa_oracle.ml) prints, for every pruning mode. *)
+let modes = Ssa.Construct.[ Minimal; Semi_pruned; Pruned ]
+
+let matches_oracle cir =
+  List.for_all
+    (fun pruning ->
+      Ir.Printer.to_string (Ssa.Construct.of_cir ~pruning cir)
+      = Ir.Printer.to_string (Ssa_oracle.of_cir ~pruning cir))
+    modes
+
+let large_profile = { Workload.Generator.default_profile with stmt_budget = 300; max_depth = 8 }
+
+let prop_matches_oracle name ?profile count =
+  QCheck.Test.make ~name ~count
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      matches_oracle (Ir.Lower.lower_routine (Workload.Generator.routine ?profile ~seed ~name:"o" ())))
+
+let test_corpus_matches_oracle () =
+  List.iter
+    (fun (name, src) ->
+      if not (matches_oracle (Ir.Lower.lower_routine (Ir.Parser.parse_one src))) then
+        Alcotest.failf "%s: of_cir differs from the dense oracle" name)
+    Workload.Corpus.all_named
+
+(* Complexity guard: words allocated by [of_cir] per output instruction must
+   not grow with routine size. Six routines each of ~250 and ~5,700
+   instructions; the large value may be at most twice the small one. The
+   dense construction's nblocks × nregs tables grow it ~10× here.
+   Allocation counts are deterministic, so this needs no timing threshold. *)
+let words_per_instr pruning stmt_budget =
+  let profile = { Workload.Generator.default_profile with stmt_budget; max_depth = 8 } in
+  let cirs =
+    List.init 6 (fun k ->
+        Ir.Lower.lower_routine (Workload.Generator.routine ~profile ~seed:(k + 1) ~name:"w" ()))
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let instrs =
+    List.fold_left (fun n c -> n + Ir.Func.num_instrs (Ssa.Construct.of_cir ~pruning c)) 0 cirs
+  in
+  (allocated () -. before) /. float_of_int instrs
+
+let test_allocation_linear () =
+  List.iter
+    (fun pruning ->
+      let small = words_per_instr pruning 50 and large = words_per_instr pruning 1600 in
+      if large > 2. *. small then
+        Alcotest.failf "%s: %.0f words/instr at ~5,700 instrs vs %.0f at ~250"
+          (Ssa.Construct.pruning_to_string pruning)
+          large small)
+    modes
+
 let suite =
   [
     prop_verifies Ssa.Construct.Minimal "minimal SSA verifies" |> QCheck_alcotest.to_alcotest;
@@ -118,4 +175,13 @@ let suite =
     Alcotest.test_case "loop variable gets a header phi" `Quick test_loop_phi_placement;
     Alcotest.test_case "verifier rejects non-dominating uses" `Quick test_verify_rejects_bad_ssa;
     Alcotest.test_case "copies are coalesced" `Quick test_copy_coalescing;
+    prop_matches_oracle "of_cir prints as the dense oracle (default profile)" 100
+    |> QCheck_alcotest.to_alcotest;
+    prop_matches_oracle "of_cir prints as the dense oracle (300 statements, depth 8)"
+      ~profile:large_profile 10
+    |> QCheck_alcotest.to_alcotest;
+    Alcotest.test_case "of_cir prints as the dense oracle on the corpus" `Quick
+      test_corpus_matches_oracle;
+    Alcotest.test_case "allocation per instruction does not grow with size" `Quick
+      test_allocation_linear;
   ]
