@@ -112,7 +112,8 @@ let canonical_form ?(fingerprint = "") (f : Ir.Func.t) =
 let fnv1a s =
   let h = ref 0xcbf29ce484222325L in
   for i = 0 to String.length s - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
   done;
   Int64.to_int !h land max_int
 

@@ -57,9 +57,9 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
   (* φ placement on iterated dominance frontiers, one register at a time in
      ascending order. The three [n]-sized arrays are stamps holding the last
      register that marked a block, so nothing is cleared between registers:
-     [onlist] (on the worklist; first the body definitions), [live]
-     ([Pruned] liveness) and [has_phi]. [phis.(b)] collects b's φ registers
-     in descending order. *)
+     [onlist] (on the worklist; it holds only body definitions while the
+     [Pruned] liveness walk reads it), [live] and [has_phi]. [phis.(b)]
+     collects b's φ registers in descending order. *)
   let onlist = Array.make n (-1) and live = Array.make n (-1) in
   let has_phi = Array.make n (-1) in
   let phis = Array.make n [] in
@@ -125,8 +125,9 @@ let of_cir ?(pruning = Semi_pruned) (c : Ir.Cir.t) : Ir.Func.t =
   for _ = 0 to n - 1 do
     ignore (Ir.Builder.add_block bld)
   done;
-  (* φs are created block-major, register-ascending; [phi_ids.(b)] pairs
-     each of b's φ registers with its value. *)
+  (* φs are created block-major, register-ascending: value numbering, and so
+     all printed output, depends on this order. [phi_ids.(b)] pairs each of
+     b's φ registers with its value. *)
   let phi_ids =
     Array.mapi
       (fun b rs -> Array.map (fun r -> (r, Ir.Builder.phi bld b)) (Array.of_list (List.rev rs)))

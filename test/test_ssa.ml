@@ -117,8 +117,6 @@ let matches_oracle cir =
       = Ir.Printer.to_string (Ssa_oracle.of_cir ~pruning cir))
     modes
 
-let large_profile = { Workload.Generator.default_profile with stmt_budget = 300; max_depth = 8 }
-
 let prop_matches_oracle name ?profile count =
   QCheck.Test.make ~name ~count
     QCheck.(int_bound 100000)
@@ -133,10 +131,11 @@ let test_corpus_matches_oracle () =
     Workload.Corpus.all_named
 
 (* Complexity guard: words allocated by [of_cir] per output instruction must
-   not grow with routine size. Six routines each of ~250 and ~5,700
-   instructions; the large value may be at most twice the small one. The
-   dense construction's nblocks × nregs tables grow it ~10× here.
-   Allocation counts are deterministic, so this needs no timing threshold. *)
+   not grow with routine size. Six routines at each of two sizes (~250 and
+   ~5,700 semi-pruned instructions); the large value may be at most twice
+   the small one. The dense construction's nblocks × nregs tables grow it
+   2.6× (minimal) to 11× (semi-pruned) here. Allocation counts are
+   deterministic, so this needs no timing threshold. *)
 let words_per_instr pruning stmt_budget =
   let profile = { Workload.Generator.default_profile with stmt_budget; max_depth = 8 } in
   let cirs =
@@ -178,7 +177,8 @@ let suite =
     prop_matches_oracle "of_cir prints as the dense oracle (default profile)" 100
     |> QCheck_alcotest.to_alcotest;
     prop_matches_oracle "of_cir prints as the dense oracle (300 statements, depth 8)"
-      ~profile:large_profile 10
+      ~profile:{ Workload.Generator.default_profile with stmt_budget = 300; max_depth = 8 }
+      10
     |> QCheck_alcotest.to_alcotest;
     Alcotest.test_case "of_cir prints as the dense oracle on the corpus" `Quick
       test_corpus_matches_oracle;
