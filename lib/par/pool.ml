@@ -184,6 +184,10 @@ let map t f arr =
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
+    (* Arm the count before the first push: a worker still draining the
+       previous batch may steal a task the moment it lands, and its
+       decrement must count against this batch. *)
+    Atomic.set t.remaining n;
     for i = 0 to n - 1 do
       let task () =
         match f arr.(i) with
@@ -192,7 +196,6 @@ let map t f arr =
       in
       Deque.push t.deques.(i mod t.domains) task
     done;
-    Atomic.set t.remaining n;
     Mutex.lock t.lock;
     t.generation <- t.generation + 1;
     Condition.broadcast t.cond;
