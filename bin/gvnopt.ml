@@ -43,8 +43,8 @@
                                            result cache across invocations
 
    Every mode answers repeated routines from a content-addressed result
-   cache keyed by a canonical structural hash of the SSA form plus a
-   fingerprint of every flag the output depends on; misses run the full
+   cache keyed by the parsed routine plus a fingerprint of every flag the
+   output depends on, so a hit skips lowering and SSA; misses run the full
    check/validate/crosscheck machinery and populate the cache. Routine
    outputs are rendered into per-routine buffers and concatenated in input
    order, so sequential and parallel runs are byte-identical.
@@ -286,9 +286,8 @@ let crosscheck ppf ~failed ~ranges st =
   Fmt.pf ppf "%a@." Absint.Crosscheck.pp_report report;
   if not (Absint.Crosscheck.ok report) then failed := true
 
-(* One routine, end to end, rendered into [ppf]; the caller has already
-   lowered and SSA-constructed (the cache key needs the SSA form before we
-   know whether this runs at all). Returns true when the routine failed. *)
+(* One routine, end to end, rendered into [ppf] from its lowered form
+   [cir] and SSA form [f]. Returns true when the routine failed. *)
 let process_routine ppf ~opts ~obs ~cir ~f name =
   let failed = ref false in
   let checking = opts.check || opts.lint || opts.werror in
@@ -438,13 +437,12 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
   !failed
 
 (* The cache key's fingerprint: every flag the rendered output depends on.
-   The output of everything downstream of SSA construction is a function of
-   the SSA form (covered by the structural key) and these options; the
-   pre-SSA cir lints additionally read the source routine, so --lint folds
-   the routine itself in. Marshal is fine here: plain data, and the
-   fingerprint never outlives the build's format. *)
-let fingerprint ~opts (r : Ir.Ast.routine) =
-  let flags =
+   The key itself is the parsed routine, and lowering, SSA construction and
+   everything after them are functions of the routine and these options.
+   Marshal is fine here: plain data, and the persisted tier's key version
+   covers the format. *)
+let fingerprint ~opts =
+  Marshal.to_string
     ( opts.config,
       opts.pruning,
       opts.action,
@@ -456,30 +454,29 @@ let fingerprint ~opts (r : Ir.Ast.routine) =
       opts.werror,
       opts.validate,
       opts.gcm )
-  in
-  let base = Marshal.to_string flags [] in
-  if opts.lint then base ^ Marshal.to_string r [] else base
+    []
 
 (* Compile one routine, answering from the cache when its key is known:
    returns its rendered output, whether it failed, and the routine-private
    Obs context (merged into the main one, in input order, by the caller —
-   that ordering is what makes parallel reports deterministic). Cached
+   that ordering is what makes parallel reports deterministic). The key is
+   the parsed routine, so a hit skips lowering and SSA construction. Cached
    values store the failure bit in their first byte, then the exact output
    text, so a hit is byte-identical to a fresh run. Runs on pool workers:
    everything here must be domain-safe. *)
 let compile_one ~opts ~cache ~obs (r : Ir.Ast.routine) =
   let robs = match obs with None -> None | Some _ -> Some (Obs.create ()) in
-  let cir = Ir.Lower.lower_routine r in
-  let f =
-    Obs.span_o robs ~cat:"pass" "ssa" @@ fun () ->
-    Ssa.Construct.of_cir ~pruning:opts.pruning cir
-  in
-  let key = Par.Ccache.key_of ~fingerprint:(fingerprint ~opts r) f in
+  let key = Par.Ccache.key_of ~fingerprint:(fingerprint ~opts) r in
   match Par.Ccache.find ?obs:robs cache key with
   | Some v ->
       let failed = String.length v > 0 && v.[0] = '1' in
       (String.sub v 1 (String.length v - 1), failed, robs)
   | None ->
+      let cir = Ir.Lower.lower_routine r in
+      let f =
+        Obs.span_o robs ~cat:"pass" "ssa" @@ fun () ->
+        Ssa.Construct.of_cir ~pruning:opts.pruning cir
+      in
       let buf = Buffer.create 512 in
       let ppf = Format.formatter_of_buffer buf in
       let failed = process_routine ppf ~opts ~obs:robs ~cir ~f r.Ir.Ast.name in

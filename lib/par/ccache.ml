@@ -1,111 +1,6 @@
-(* See ccache.mli. The canonical form is a plain text rendering of the
-   routine under a layout-erasing renumbering: blocks in reverse post-order
-   from the entry (unreachable blocks appended in original-id order, so the
-   whole routine is covered and canonicalization stays conservative there),
-   values densely renumbered in that traversal, φ arguments sorted by their
-   canonical carrying edge. Everything semantically visible — operators,
-   successor order (Branch true/false, Switch case order), parameter count,
-   routine name, the caller's fingerprint — is rendered verbatim, so equal
-   canonical forms really are the same compilation problem. *)
+(* See ccache.mli. *)
 
 type key = { khash : int; kcanon : string }
-
-(* ------------------------------------------------------------------ *)
-(* Canonicalization. *)
-
-let canonical_form ?(fingerprint = "") (f : Ir.Func.t) =
-  let open Ir.Func in
-  let rpo = Analysis.Rpo.compute (Analysis.Graph.of_func f) in
-  let nb = num_blocks f in
-  (* canonical block order: RPO, then unreachable blocks by original id *)
-  let order = Array.make nb (-1) in
-  let k = ref 0 in
-  Array.iter
-    (fun b ->
-      order.(!k) <- b;
-      incr k)
-    rpo.order;
-  for b = 0 to nb - 1 do
-    if rpo.number.(b) < 0 then begin
-      order.(!k) <- b;
-      incr k
-    end
-  done;
-  let blk_canon = Array.make nb (-1) in
-  Array.iteri (fun ci b -> blk_canon.(b) <- ci) order;
-  (* dense value renumbering in canonical traversal order *)
-  let val_canon = Array.make (num_instrs f) (-1) in
-  let next = ref 0 in
-  Array.iter
-    (fun b ->
-      Array.iter
-        (fun i ->
-          if defines_value (instr f i) then begin
-            val_canon.(i) <- !next;
-            incr next
-          end)
-        (block f b).instrs)
-    order;
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "pgvn-key/1\n";
-  pr "name=%s nparams=%d fp=%d:%s\n" f.name f.nparams (String.length fingerprint) fingerprint;
-  let v id = Printf.sprintf "v%d" val_canon.(id) in
-  Array.iter
-    (fun b ->
-      let blk = block f b in
-      pr "b%d:\n" blk_canon.(b);
-      Array.iter
-        (fun i ->
-          (match instr f i with
-          | Const c -> pr "  %s = const %d" (v i) c
-          | Param p -> pr "  %s = param %d" (v i) p
-          | Unop (op, a) -> pr "  %s = %s %s" (v i) (Ir.Types.string_of_unop op) (v a)
-          | Binop (op, a, c) ->
-              pr "  %s = %s %s %s" (v i) (Ir.Types.string_of_binop op) (v a) (v c)
-          | Cmp (op, a, c) -> pr "  %s = %s %s %s" (v i) (Ir.Types.string_of_cmp op) (v a) (v c)
-          | Opaque (tag, args) ->
-              pr "  %s = opaque %d(" (v i) tag;
-              Array.iteri (fun j a -> pr "%s%s" (if j > 0 then "," else "") (v a)) args;
-              pr ")"
-          | Phi args ->
-              (* sort φ arguments by canonical carrying edge: the incoming
-                 edge's source block under the canonical numbering, tie-broken
-                 by its position in that source's successor list *)
-              let keyed =
-                Array.mapi
-                  (fun j a ->
-                    let e = edge f blk.preds.(j) in
-                    ((blk_canon.(e.src), e.src_ix), a))
-                  args
-              in
-              Array.sort compare keyed;
-              pr "  %s = phi [" (v i);
-              Array.iteri
-                (fun j ((src, ix), a) ->
-                  pr "%sb%d.%d:%s" (if j > 0 then ", " else "") src ix (v a))
-                keyed;
-              pr "]"
-          | Jump ->
-              let e = edge f blk.succs.(0) in
-              pr "  jump b%d" blk_canon.(e.dst)
-          | Branch c ->
-              let et = edge f blk.succs.(0) and ef = edge f blk.succs.(1) in
-              pr "  branch %s b%d b%d" (v c) blk_canon.(et.dst) blk_canon.(ef.dst)
-          | Switch (c, cases) ->
-              pr "  switch %s [" (v c);
-              Array.iteri
-                (fun j case ->
-                  let e = edge f blk.succs.(j) in
-                  pr "%s%d:b%d" (if j > 0 then ", " else "") case blk_canon.(e.dst))
-                cases;
-              let d = edge f blk.succs.(Array.length blk.succs - 1) in
-              pr "] b%d" blk_canon.(d.dst)
-          | Return c -> pr "  return %s" (v c));
-          pr "\n")
-        blk.instrs)
-    order;
-  Buffer.contents buf
 
 (* FNV-1a, folded to OCaml's 63-bit nonnegative int range. The index loop
    keeps [h] an unboxed local; a closure over it would box every step. *)
@@ -117,8 +12,21 @@ let fnv1a s =
   done;
   Int64.to_int !h land max_int
 
-let key_of ?fingerprint f =
-  let kcanon = canonical_form ?fingerprint f in
+(* No_sharing renders equal values to equal bytes whatever their physical
+   sharing, so the key is a function of the value's structure alone. The
+   fingerprint is length-prefixed: no fingerprint/value split of one byte
+   string can read as another. *)
+let key_of ?(fingerprint = "") v =
+  let kcanon =
+    String.concat ""
+      [
+        "pgvn-key/2\n";
+        string_of_int (String.length fingerprint);
+        ":";
+        fingerprint;
+        Marshal.to_string v [ Marshal.No_sharing ];
+      ]
+  in
   { khash = fnv1a kcanon; kcanon }
 
 (* ------------------------------------------------------------------ *)
@@ -231,16 +139,16 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Persisted tier. Format (all counts in decimal ASCII):
 
-     pgvn-ccache/1\n
+     pgvn-ccache/2\n
      <n>\n
-     <hash> <canon-bytes> <value-bytes>\n
-     <canon><value>\n            (repeated n times)
+     <hash> <key-bytes> <value-bytes>\n
+     <key><value>\n              (repeated n times)
 
    Loads are corruption-tolerant by contract: any read failure, bad count,
    version mismatch or short file yields a cold cache. Entries are written
    oldest-first so a reloaded cache evicts in the same order. *)
 
-let format_version = "pgvn-ccache/1"
+let format_version = "pgvn-ccache/2"
 
 let save t path =
   (* snapshot under the lock, write outside it *)

@@ -1,27 +1,25 @@
-(** Content-addressed result cache for the compilation service (ROADMAP
-    item 1): results are keyed by a canonical structural hash of the input
-    routine, so the same routine — under any block numbering the canonical
-    traversal erases — is compiled once and answered from cache thereafter.
+(** Content-addressed result cache for the compilation service: a routine
+    is compiled once and answered from cache thereafter, keyed by the
+    routine as the client holds it plus a fingerprint of every flag the
+    result depends on.
 
     {2 Keys}
 
-    A {!key} is the pair of a 63-bit structural hash and the canonical
-    form it was computed from. The canonical form renumbers blocks in
-    reverse post-order from the entry and values densely in traversal
-    order, and sorts φ arguments by their canonical carrying edge — so two
-    routines that differ only in block layout (and in the value/block ids
-    that layout induces) canonicalize identically, while anything
-    semantically visible (operator, operand structure, successor order,
-    parameter count, routine name) is preserved verbatim. Lookups are
-    verify-on-hit: the stored canonical form is compared byte-for-byte
-    before an entry is answered, so a structural-hash collision degrades
-    to a miss, never to a wrong answer.
+    A {!key} is the pair of a 63-bit hash and the bytes it was computed
+    from: a version line, the length-prefixed fingerprint, then the
+    [Marshal] image of the keyed value (without sharing, so equal values
+    give equal bytes). [gvnopt] keys on the parsed [Ir.Ast.routine], before
+    any lowering or SSA construction, so a hit costs one marshal, one hash
+    and one lookup. The key is exact, not canonical: routines that differ
+    in anything the value holds — block layout, variable names — key
+    apart. Lookups are verify-on-hit: the stored key bytes are compared in
+    full before an entry is answered, so a hash collision degrades to a
+    miss, never to a wrong answer.
 
     Results are opaque strings chosen by the client (the driver caches the
-    routine's full rendered output plus its failure bit). A client whose
-    result depends on anything beyond the routine body — configuration,
-    flags — must fold a fingerprint of that context into the key via
-    [key_of ~fingerprint].
+    routine's full rendered output plus its failure bit). The result must
+    be a function of the keyed value and the fingerprint: pass an encoding
+    of every configuration bit it depends on as [key_of ~fingerprint].
 
     {2 Tiers}
 
@@ -30,6 +28,8 @@
     eviction. The optional persisted tier is a versioned file ({!save} /
     {!load}); a missing, truncated or corrupted file loads as a cold
     cache — persistence failures can cost a recompile, never an error.
+    [Marshal] images follow the OCaml type of the keyed value, so a change
+    to that type (for [gvnopt], [Ir.Ast]) must bump the key's version line.
 
     Hit/miss/eviction totals are exposed as {!stats} and, when an [?obs]
     context is supplied, as the [ccache.hits] / [ccache.misses] /
@@ -37,18 +37,16 @@
 
 type key = { khash : int; kcanon : string }
 
-val key_of : ?fingerprint:string -> Ir.Func.t -> key
-(** The canonical structural key of a routine. [fingerprint] (default
-    [""]) is folded into the canonical form — pass an encoding of every
-    configuration bit the cached result depends on. *)
-
-val canonical_form : ?fingerprint:string -> Ir.Func.t -> string
-(** The canonical form [key_of] hashes, exposed for tests and debugging. *)
+val key_of : ?fingerprint:string -> 'a -> key
+(** The key of a value. The value must be plain data: closure-free
+    ([Marshal] raises on a closure) and acyclic (without sharing, a cycle
+    never terminates). [fingerprint] (default [""]) is folded into the key
+    bytes — pass an encoding of every configuration bit the cached result
+    depends on. *)
 
 val fnv1a : string -> int
-(** The 64-bit FNV-1a hash [key_of] applies to the canonical form, folded
-    to a nonnegative [int]. Persisted [pgvn-ccache/1] files store it, so it
-    must not change. *)
+(** The 64-bit FNV-1a hash [key_of] applies to the key bytes, folded to a
+    nonnegative [int]. Persisted files store it, so it must not change. *)
 
 type t
 
@@ -59,8 +57,8 @@ val create : ?capacity:int -> unit -> t
     inserting past it evicts oldest-first. *)
 
 val find : ?obs:Obs.t -> t -> key -> string option
-(** Verify-on-hit lookup: [Some] only when an entry's canonical form
-    matches [key.kcanon] exactly. Counts one hit or one miss. *)
+(** Verify-on-hit lookup: [Some] only when an entry's key bytes match
+    [key.kcanon] exactly. Counts one hit or one miss. *)
 
 val add : ?obs:Obs.t -> t -> key -> string -> unit
 (** Insert (or overwrite) the result for [key], evicting the oldest entry
