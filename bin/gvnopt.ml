@@ -540,11 +540,13 @@ let run_batch ~opts ~pool ~cache ~obs paths =
 let max_frame = 1 lsl 26 (* 64 MiB: refuse absurd lengths rather than allocate *)
 
 let read_frame ic =
-  match really_input_string ic 4 with
-  | exception End_of_file -> None (* clean EOF between frames *)
-  | hdr ->
-      let b i = Char.code hdr.[i] in
-      let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  match input_byte ic with
+  | exception End_of_file -> None (* clean EOF: no header byte arrived *)
+  | b0 ->
+      (* past the first byte, EOF in the header is a truncated frame *)
+      let rest = really_input_string ic 3 in
+      let b i = Char.code rest.[i] in
+      let len = (b0 lsl 24) lor (b 0 lsl 16) lor (b 1 lsl 8) lor b 2 in
       if len > max_frame then failwith (Printf.sprintf "frame of %d bytes exceeds the limit" len)
       else Some (really_input_string ic len)
 
@@ -793,9 +795,9 @@ let cmd =
       & opt jobs_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Compile routines on an $(docv)-domain work-stealing pool (the \
-             calling domain plus $(docv)-1 spawned ones). Outputs are emitted \
-             in input order and are byte-identical to a sequential run; \
+            "Compile routines on an $(docv)-domain pool (the calling domain \
+             plus $(docv)-1 spawned ones). Outputs are emitted in input order \
+             and are byte-identical to a sequential run; \
              $(b,--jobs=1) (the default) spawns nothing.")
   in
   let serve_flag =

@@ -30,16 +30,23 @@ let key_of ?(fingerprint = "") v =
   { khash = fnv1a kcanon; kcanon }
 
 (* ------------------------------------------------------------------ *)
-(* In-memory tier. *)
+(* In-memory tier. The table's own equality compares the key bytes in
+   full, so a lookup is verify-on-hit: a hash collision reads as a miss.
+   [fifo] holds each resident key once, oldest first: an overwrite keeps
+   its slot, so the queue and the table always hold the same keys. *)
 
-type entry = { canon : string; mutable value : string }
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = String.equal a.kcanon b.kcanon
+  let hash k = k.khash
+end)
 
 type t = {
   lock : Mutex.t;
-  table : (int, entry list ref) Hashtbl.t; (* hash -> bucket, collision-aware *)
-  fifo : (int * string) Queue.t; (* insertion order, for eviction *)
+  table : string Table.t;
+  fifo : key Queue.t; (* insertion order, for eviction *)
   capacity : int;
-  mutable n_entries : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -50,10 +57,9 @@ type stats = { entries : int; hits : int; misses : int; evictions : int }
 let create ?(capacity = 4096) () =
   {
     lock = Mutex.create ();
-    table = Hashtbl.create 256;
+    table = Table.create 256;
     fifo = Queue.create ();
     capacity = max 1 capacity;
-    n_entries = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -68,73 +74,38 @@ let count obs name = Obs.add_o obs name 1
 let find ?obs t key =
   let r =
     locked t @@ fun () ->
-    match Hashtbl.find_opt t.table key.khash with
-    | None ->
-        t.misses <- t.misses + 1;
-        None
-    | Some bucket -> (
-        (* verify-on-hit: a hash collision must read as a miss *)
-        match List.find_opt (fun e -> String.equal e.canon key.kcanon) !bucket with
-        | Some e ->
-            t.hits <- t.hits + 1;
-            Some e.value
-        | None ->
-            t.misses <- t.misses + 1;
-            None)
+    let r = Table.find_opt t.table key in
+    if Option.is_some r then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    r
   in
   count obs (match r with Some _ -> "ccache.hits" | None -> "ccache.misses");
   r
 
-(* Remove the oldest entry. FIFO slots can be stale (an overwritten entry
-   keeps its original slot), so pop until one still resolves. *)
-let evict_oldest t =
-  let removed = ref false in
-  while (not !removed) && not (Queue.is_empty t.fifo) do
-    let h, canon = Queue.pop t.fifo in
-    match Hashtbl.find_opt t.table h with
-    | None -> ()
-    | Some bucket ->
-        let before = List.length !bucket in
-        bucket := List.filter (fun e -> not (String.equal e.canon canon)) !bucket;
-        if List.length !bucket < before then begin
-          removed := true;
-          t.n_entries <- t.n_entries - 1;
-          if !bucket = [] then Hashtbl.remove t.table h
-        end
-  done;
-  !removed
-
 let add ?obs t key value =
   let evicted =
     locked t @@ fun () ->
-    let bucket =
-      match Hashtbl.find_opt t.table key.khash with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add t.table key.khash b;
-          b
-    in
-    (match List.find_opt (fun e -> String.equal e.canon key.kcanon) !bucket with
-    | Some e -> e.value <- value (* overwrite in place; keeps its FIFO slot *)
-    | None ->
-        bucket := { canon = key.kcanon; value } :: !bucket;
-        Queue.push (key.khash, key.kcanon) t.fifo;
-        t.n_entries <- t.n_entries + 1);
-    let evicted = ref 0 in
-    while t.n_entries > t.capacity do
-      if evict_oldest t then incr evicted else t.n_entries <- t.capacity
-    done;
-    t.evictions <- t.evictions + !evicted;
-    !evicted
+    if Table.mem t.table key then begin
+      (* an overwrite keeps its FIFO slot *)
+      Table.replace t.table key value;
+      false
+    end
+    else begin
+      Table.add t.table key value;
+      Queue.push key t.fifo;
+      (* one insertion overflows the capacity by at most one entry *)
+      let over = Queue.length t.fifo > t.capacity in
+      if over then begin
+        Table.remove t.table (Queue.pop t.fifo);
+        t.evictions <- t.evictions + 1
+      end;
+      over
+    end
   in
-  for _ = 1 to evicted do
-    count obs "ccache.evictions"
-  done
+  if evicted then count obs "ccache.evictions"
 
 let stats t =
   locked t @@ fun () ->
-  { entries = t.n_entries; hits = t.hits; misses = t.misses; evictions = t.evictions }
+  { entries = Table.length t.table; hits = t.hits; misses = t.misses; evictions = t.evictions }
 
 (* ------------------------------------------------------------------ *)
 (* Persisted tier. Format (all counts in decimal ASCII):
@@ -154,26 +125,17 @@ let save t path =
   (* snapshot under the lock, write outside it *)
   let entries =
     locked t @@ fun () ->
-    Queue.fold
-      (fun acc (h, canon) ->
-        match Hashtbl.find_opt t.table h with
-        | None -> acc
-        | Some bucket -> (
-            match List.find_opt (fun e -> String.equal e.canon canon) !bucket with
-            | Some e -> (h, e.canon, e.value) :: acc
-            | None -> acc))
-      [] t.fifo
+    List.of_seq (Seq.map (fun k -> (k, Table.find t.table k)) (Queue.to_seq t.fifo))
   in
-  let entries = List.rev entries in
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out_bin tmp in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
         Printf.fprintf oc "%s\n%d\n" format_version (List.length entries);
         List.iter
-          (fun (h, canon, value) ->
-            Printf.fprintf oc "%d %d %d\n%s%s\n" h (String.length canon) (String.length value)
-              canon value)
+          (fun ({ khash; kcanon }, value) ->
+            Printf.fprintf oc "%d %d %d\n%s%s\n" khash (String.length kcanon)
+              (String.length value) kcanon value)
           entries);
     Sys.rename tmp path
   with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
@@ -182,38 +144,31 @@ exception Corrupt
 
 let load ?capacity path =
   let t = create ?capacity () in
-  (try
-     let ic = open_in_bin path in
-     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-         if input_line ic <> format_version then raise Corrupt;
-         let n =
-           match int_of_string_opt (input_line ic) with
-           | Some n when n >= 0 -> n
-           | _ -> raise Corrupt
-         in
-         for _ = 1 to n do
-           let h, cl, vl =
-             match String.split_on_char ' ' (input_line ic) with
-             | [ a; b; c ] -> (
-                 match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
-                 | Some h, Some cl, Some vl when h >= 0 && cl >= 0 && vl >= 0 -> (h, cl, vl)
-                 | _ -> raise Corrupt)
-             | _ -> raise Corrupt
-           in
-           let canon = really_input_string ic cl in
-           let value = really_input_string ic vl in
-           if input_char ic <> '\n' then raise Corrupt;
-           let key = { khash = h; kcanon = canon } in
-           if key.khash <> fnv1a canon then raise Corrupt;
-           add t key value
-         done)
-   with Corrupt | End_of_file | Sys_error _ | Failure _ ->
-     (* cold cache on any corruption: drop whatever partially loaded *)
-     Hashtbl.reset t.table;
-     Queue.clear t.fifo;
-     t.n_entries <- 0;
-     t.evictions <- 0);
-  (* loading is not cache traffic: don't let partial loads skew stats *)
-  t.hits <- 0;
-  t.misses <- 0;
-  t
+  try
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+        if input_line ic <> format_version then raise Corrupt;
+        let n =
+          match int_of_string_opt (input_line ic) with
+          | Some n when n >= 0 -> n
+          | _ -> raise Corrupt
+        in
+        for _ = 1 to n do
+          let h, cl, vl =
+            match String.split_on_char ' ' (input_line ic) with
+            | [ a; b; c ] -> (
+                match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
+                | Some h, Some cl, Some vl when h >= 0 && cl >= 0 && vl >= 0 -> (h, cl, vl)
+                | _ -> raise Corrupt)
+            | _ -> raise Corrupt
+          in
+          let canon = really_input_string ic cl in
+          let value = really_input_string ic vl in
+          if input_char ic <> '\n' then raise Corrupt;
+          if h <> fnv1a canon then raise Corrupt;
+          add t { khash = h; kcanon = canon } value
+        done);
+    t
+  with Corrupt | End_of_file | Sys_error _ | Failure _ ->
+    (* cold cache on any corruption: drop whatever partially loaded *)
+    create ?capacity ()

@@ -23,11 +23,16 @@
 
     {2 Tiers}
 
-    The in-memory tier is a mutex-protected table safe for concurrent
-    pool workers, bounded by [capacity] entries with oldest-first
-    eviction. The optional persisted tier is a versioned file ({!save} /
-    {!load}); a missing, truncated or corrupted file loads as a cold
-    cache — persistence failures can cost a recompile, never an error.
+    The in-memory tier is a stdlib [Hashtbl.Make] table behind one mutex,
+    safe for concurrent pool workers. It hashes a key by [khash] and
+    compares keys by their full [kcanon] bytes, so the table's own
+    equality is the verify-on-hit check. It holds at most [capacity]
+    entries; a queue of resident keys, oldest first, picks the entry to
+    evict, and overwriting an entry keeps its place in that queue. The
+    optional persisted tier is a versioned file ({!save} / {!load}),
+    written oldest entry first; a missing, truncated or corrupted file
+    loads as a cold cache — persistence failures can cost a recompile,
+    never an error.
     [Marshal] images follow the OCaml type of the keyed value, so a change
     to that type (for [gvnopt], [Ir.Ast]) must bump the key's version line.
 
@@ -71,5 +76,8 @@ val save : t -> string -> unit
     are swallowed: persistence is best-effort by design. *)
 
 val load : ?capacity:int -> string -> t
-(** Load a persisted tier. A missing, unreadable, version-mismatched or
-    corrupted file yields an empty (cold) cache — never an exception. *)
+(** Load a persisted tier. Entries are re-added oldest first, so a file
+    with more than [capacity] entries keeps its newest ones, and later
+    evictions follow the saved order. A missing, unreadable,
+    version-mismatched or corrupted file yields an empty (cold) cache —
+    never an exception. *)

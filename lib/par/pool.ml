@@ -1,142 +1,61 @@
-(* See pool.mli for the contract. The deques are mutex-protected rather
-   than lock-free: a batch enqueues whole routines (milliseconds of work
-   each), so deque traffic is cold and an uncontended lock/unlock per
-   operation is noise — while the locking makes owner-pop vs thief-steal
-   trivially race-free on every OCaml 5.x runtime. *)
+(* See pool.mli for the contract. A batch is a flat array of independent
+   tasks known before the first one runs, so one counter distributes it:
+   every participant claims the next unclaimed index until the batch runs
+   dry. *)
 
-(* ------------------------------------------------------------------ *)
-(* Per-worker deque: the owner pushes and pops at the bottom (LIFO keeps
-   a worker on its own cache-warm items), thieves take from the top. *)
-
-type task = unit -> unit
-
-module Deque = struct
-  type t = {
-    lock : Mutex.t;
-    mutable buf : task array;
-    mutable top : int; (* next steal slot: buf.(top .. bottom-1) pending *)
-    mutable bottom : int;
-  }
-
-  let dummy_task () = ()
-
-  let create () = { lock = Mutex.create (); buf = Array.make 64 dummy_task; top = 0; bottom = 0 }
-
-  let locked d f =
-    Mutex.lock d.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.lock) f
-
-  let push d task =
-    locked d @@ fun () ->
-    let n = Array.length d.buf in
-    if d.bottom = n then
-      if d.top > 0 then begin
-        (* compact: slide the pending window back to index 0 *)
-        Array.blit d.buf d.top d.buf 0 (d.bottom - d.top);
-        d.bottom <- d.bottom - d.top;
-        d.top <- 0
-      end
-      else begin
-        let bigger = Array.make (2 * n) dummy_task in
-        Array.blit d.buf 0 bigger 0 n;
-        d.buf <- bigger
-      end;
-    d.buf.(d.bottom) <- task;
-    d.bottom <- d.bottom + 1
-
-  let pop d =
-    locked d @@ fun () ->
-    if d.top >= d.bottom then None
-    else begin
-      d.bottom <- d.bottom - 1;
-      let t = d.buf.(d.bottom) in
-      d.buf.(d.bottom) <- dummy_task;
-      Some t
-    end
-
-  let steal d =
-    locked d @@ fun () ->
-    if d.top >= d.bottom then None
-    else begin
-      let t = d.buf.(d.top) in
-      d.buf.(d.top) <- dummy_task;
-      d.top <- d.top + 1;
-      Some t
-    end
-end
-
-(* ------------------------------------------------------------------ *)
+type batch = {
+  run : int -> unit; (* task [i]; stores its result or exception, never raises *)
+  n : int;
+  next : int Atomic.t; (* next unclaimed index; >= n once the batch is drained *)
+  remaining : int Atomic.t; (* tasks not yet finished *)
+}
 
 type t = {
   domains : int;
-  deques : Deque.t array; (* one per worker; index 0 is the caller *)
-  remaining : int Atomic.t; (* tasks of the current batch still unfinished *)
-  lock : Mutex.t; (* guards [generation] and [quit] *)
-  cond : Condition.t;
-  mutable generation : int; (* bumped once per batch; workers sleep on it *)
+  lock : Mutex.t; (* guards [current] and [quit]; the conditions' mutex *)
+  wake : Condition.t; (* a new batch was published, or [quit] was set *)
+  finished : Condition.t; (* the current batch's last task has finished *)
+  mutable current : batch; (* the latest published batch *)
   mutable quit : bool;
-  mutable handles : unit Domain.t list; (* spawned workers (ids 1..n-1) *)
+  mutable handles : unit Domain.t list; (* spawned workers *)
   mutable alive : bool;
 }
 
+let idle = { run = ignore; n = 0; next = Atomic.make 0; remaining = Atomic.make 0 }
+
 let size t = t.domains
 
-(* One task, defensively: the [map] wrappers already capture exceptions
-   into the batch's error slots, so anything escaping here would be a pool
-   bug — but a worker domain must never die with tasks outstanding, or the
-   batch would hang. The decrement is what publishes the task's writes to
-   the joining caller (Atomic gives the happens-before edge). *)
-let run_task t task =
-  (try task () with _ -> ());
-  ignore (Atomic.fetch_and_add t.remaining (-1))
-
-(* Work until the current batch is drained: own deque first, then steal
-   round-robin. Runs on worker domains and, during [map], on the caller. *)
-let drain t w =
-  let n = Array.length t.deques in
-  (* Spin briefly on an empty scan, then sleep: a worker with nothing left
-     to steal must get off the core — on oversubscribed hosts (more domains
-     than cores) pure spinning starves whoever holds the last tasks. *)
-  let misses = ref 0 in
-  while Atomic.get t.remaining > 0 do
-    match Deque.pop t.deques.(w) with
-    | Some task ->
-        run_task t task;
-        misses := 0
-    | None ->
-        let stolen = ref None in
-        let i = ref 1 in
-        while !stolen = None && !i < n do
-          (match Deque.steal t.deques.((w + !i) mod n) with
-          | Some task -> stolen := Some task
-          | None -> ());
-          incr i
-        done;
-        (match !stolen with
-        | Some task ->
-            run_task t task;
-            misses := 0
-        | None ->
-            incr misses;
-            if !misses < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002)
-  done
-
-let worker_body t w =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.lock;
-    while (not t.quit) && t.generation = !last_gen do
-      Condition.wait t.cond t.lock
-    done;
-    let gen = t.generation and quit = t.quit in
-    Mutex.unlock t.lock;
-    if quit then running := false
-    else begin
-      last_gen := gen;
-      drain t w
+(* Claim and run tasks until the batch is drained. The counters belong to
+   [b] alone, so a participant that arrives after [b] drained claims
+   nothing and cannot touch a later batch. The decrement is what publishes
+   a task's writes to the caller (Atomic gives the happens-before edge);
+   whoever finishes the last task wakes the caller. *)
+let work t b =
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.run i;
+      if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
+        Mutex.lock t.lock;
+        Condition.broadcast t.finished;
+        Mutex.unlock t.lock
+      end;
+      claim ()
     end
-  done
+  in
+  claim ()
+
+let rec worker t last =
+  Mutex.lock t.lock;
+  while (not t.quit) && t.current == last do
+    Condition.wait t.wake t.lock
+  done;
+  let b = t.current and quit = t.quit in
+  Mutex.unlock t.lock;
+  if not quit then begin
+    work t b;
+    worker t b
+  end
 
 let create ?domains () =
   let domains =
@@ -148,17 +67,16 @@ let create ?domains () =
   let t =
     {
       domains;
-      deques = Array.init domains (fun _ -> Deque.create ());
-      remaining = Atomic.make 0;
       lock = Mutex.create ();
-      cond = Condition.create ();
-      generation = 0;
+      wake = Condition.create ();
+      finished = Condition.create ();
+      current = idle;
       quit = false;
       handles = [];
       alive = true;
     }
   in
-  t.handles <- List.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker_body t (k + 1)));
+  t.handles <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t idle));
   t
 
 let shutdown t =
@@ -166,7 +84,7 @@ let shutdown t =
     t.alive <- false;
     Mutex.lock t.lock;
     t.quit <- true;
-    Condition.broadcast t.cond;
+    Condition.broadcast t.wake;
     Mutex.unlock t.lock;
     List.iter Domain.join t.handles;
     t.handles <- []
@@ -184,25 +102,22 @@ let map t f arr =
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
-    (* Arm the count before the first push: a worker still draining the
-       previous batch may steal a task the moment it lands, and its
-       decrement must count against this batch. *)
-    Atomic.set t.remaining n;
-    for i = 0 to n - 1 do
-      let task () =
-        match f arr.(i) with
-        | v -> results.(i) <- Some v
-        | exception e -> errors.(i) <- Some e
-      in
-      Deque.push t.deques.(i mod t.domains) task
-    done;
+    let run i =
+      match f arr.(i) with
+      | v -> results.(i) <- Some v
+      | exception e -> errors.(i) <- Some e
+    in
+    let b = { run; n; next = Atomic.make 0; remaining = Atomic.make n } in
     Mutex.lock t.lock;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.cond;
+    t.current <- b;
+    Condition.broadcast t.wake;
     Mutex.unlock t.lock;
-    drain t 0;
-    (* remaining = 0: every task has run and its decrement ordered its
-       writes before our read — the result slots are all published. *)
-    Array.iteri (fun i e -> match e with Some exn -> raise exn | None -> ignore i) errors;
+    work t b;
+    Mutex.lock t.lock;
+    while Atomic.get b.remaining > 0 do
+      Condition.wait t.finished t.lock
+    done;
+    Mutex.unlock t.lock;
+    Array.iter (function Some exn -> raise exn | None -> ()) errors;
     Array.map Option.get results
   end

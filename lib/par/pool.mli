@@ -1,13 +1,16 @@
-(** A hand-rolled, dependency-free domain pool for embarrassingly parallel
-    per-routine work (ROADMAP item 1): a fixed worker set — the calling
-    domain plus [domains - 1] spawned ones — each with its own
-    mutex-protected work deque, idle workers stealing from the others.
+(** A dependency-free domain pool for per-routine work: a fixed worker
+    set — the calling domain plus [domains - 1] spawned ones — built on
+    the stdlib's [Atomic], [Mutex] and [Condition].
 
-    The pool is batch-oriented: {!map} distributes one array of independent
-    tasks round-robin across the worker deques, wakes the workers, joins in
-    as a worker itself, and returns when every task has finished. Results
-    come back in input order regardless of execution interleaving, which is
-    what the parallel driver's determinism guarantee is built on.
+    The pool is batch-oriented: {!map} publishes one array of independent
+    tasks, wakes the workers, joins in as a worker itself, and returns when
+    every task has finished. Every participant claims the next unclaimed
+    index from the batch's own atomic counter, so a long task never holds
+    back the rest of its batch, and a worker that wakes after the batch has
+    drained finds nothing to claim. Idle workers sleep on a condition
+    variable rather than spin. Results come back in input order regardless
+    of execution interleaving, which is what the parallel driver's
+    determinism guarantee is built on.
 
     With [domains = 1] no domain is ever spawned and {!map} degrades to a
     plain sequential [Array.map] — the graceful fallback for single-core

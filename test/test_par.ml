@@ -1,7 +1,9 @@
-(* The parallel compilation service (lib/par): the work-stealing domain
-   pool's batch semantics, the corpus-wide determinism pin (parallel and
-   sequential runs must render byte-identical output and merge to the same
-   metrics), the content-addressed result cache's keys and its two tiers, and the two-domain regression for the domain-local state the
+(* The parallel compilation service (lib/par): the domain pool's batch
+   semantics (input order, leftmost exception, no task holding back its
+   batch, back-to-back batches), the corpus-wide determinism pin (parallel
+   and sequential runs must render byte-identical output and merge to the
+   same metrics), the content-addressed result cache's keys and its two
+   tiers, and the two-domain regression for the domain-local state the
    parallel audit converted (Rules.Engine's compiled tables, Infer's fault
    hook). *)
 
@@ -28,19 +30,18 @@ let test_pool_reuse () =
         Alcotest.(check int) "last element" (16 + round) out.(16)
       done)
 
-(* Back-to-back tiny batches: a worker still inside the previous batch's
-   drain can steal a task of the next one the moment it is pushed. The
-   batch's task count must already be armed by then, or that steal drives
-   it below zero and the caller waits forever. The loop runs off the main
-   domain so a hang fails against the deadline instead of stalling the
-   suite. *)
-let test_pool_back_to_back_batches () =
+(* Back-to-back tiny batches: a worker that wakes late for one batch may
+   find the next already published, and must neither lose nor double-count
+   a task of either. 4 domains oversubscribe a 2-core host, so workers are
+   descheduled mid-batch. The loop runs off the main domain so a hang
+   fails against the deadline instead of stalling the suite. *)
+let test_pool_back_to_back_batches domains () =
   let batches = 20_000 and deadline_s = 60.0 in
   let finished = Atomic.make 0 and stopped = Atomic.make false in
   let runner =
     Domain.spawn (fun () ->
         Fun.protect ~finally:(fun () -> Atomic.set stopped true) @@ fun () ->
-        Par.Pool.with_pool ~domains:2 (fun pool ->
+        Par.Pool.with_pool ~domains (fun pool ->
             let input = Array.init 8 (fun i -> i) in
             for b = 1 to batches do
               let out = Par.Pool.map pool (fun i -> i + b) input in
@@ -74,6 +75,41 @@ let test_pool_exception_leftmost () =
       match Par.Pool.map pool f (Array.init 12 (fun i -> i)) with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i -> Alcotest.(check int) "leftmost failure wins" 2 i)
+
+(* A failed batch leaves the pool usable: the exception surfaces only
+   after every task has finished, so the next batch starts clean. *)
+let test_pool_reuse_after_exception () =
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let input = Array.init 12 (fun i -> i) in
+      (match Par.Pool.map pool (fun i -> if i = 5 then raise (Boom i) else i) input with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom _ -> ());
+      Alcotest.(check (array int))
+        "the next batch's results" (Array.map succ input)
+        (Par.Pool.map pool succ input))
+
+(* One slow task must not hold back the rest of its batch: on a 2-domain
+   pool, task 0 waits until every other task has finished. Whichever
+   participant claims it, the other must run the remaining tasks. The
+   deadline turns a stall into a failure instead of a hang. *)
+let test_pool_blocked_task () =
+  let n = 16 and deadline_s = 30.0 in
+  let others_done = Atomic.make 0 in
+  let f i =
+    if i > 0 then begin
+      Atomic.incr others_done;
+      i
+    end
+    else begin
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get others_done < n - 1 && Unix.gettimeofday () -. t0 < deadline_s do
+        Unix.sleepf 0.001
+      done;
+      Atomic.get others_done
+    end
+  in
+  let out = Par.Pool.with_pool ~domains:2 (fun pool -> Par.Pool.map pool f (Array.init n Fun.id)) in
+  Alcotest.(check int) "task 0 saw every other task finish" (n - 1) out.(0)
 
 let test_pool_invalid_arguments () =
   Alcotest.check_raises "domains = 0" (Invalid_argument "Par.Pool.create: domains must be >= 1")
@@ -283,6 +319,30 @@ let test_ccache_persist_round_trip () =
   Alcotest.(check (option string)) "empty value restored" (Some "") (Par.Ccache.find c' k2);
   Sys.remove path
 
+(* A load keeps the newest [capacity] entries, and a later insertion
+   evicts the oldest of those: the saved FIFO order survives the file. *)
+let test_ccache_persist_capacity () =
+  let path = tmp "capacity.bin" in
+  let keys =
+    Array.init 4 (fun i -> key_of_src (Printf.sprintf "routine F(A) { return A + %d; }" i))
+  in
+  let c = Par.Ccache.create () in
+  for i = 0 to 2 do
+    Par.Ccache.add c keys.(i) (string_of_int i)
+  done;
+  Par.Ccache.save c path;
+  let c' = Par.Ccache.load ~capacity:2 path in
+  Sys.remove path;
+  let resident i = Par.Ccache.find c' keys.(i) in
+  Alcotest.(check int) "capacity honoured" 2 (Par.Ccache.stats c').Par.Ccache.entries;
+  Alcotest.(check (option string)) "oldest dropped" None (resident 0);
+  Alcotest.(check (option string)) "second kept" (Some "1") (resident 1);
+  Alcotest.(check (option string)) "newest kept" (Some "2") (resident 2);
+  Par.Ccache.add c' keys.(3) "3";
+  Alcotest.(check (option string)) "next add evicts the older survivor" None (resident 1);
+  Alcotest.(check (option string)) "newer survivor stays" (Some "2") (resident 2);
+  Alcotest.(check (option string)) "new entry resident" (Some "3") (resident 3)
+
 let test_ccache_corrupt_loads_cold () =
   let cold_from contents name =
     let path = tmp name in
@@ -326,10 +386,15 @@ let suite =
     Alcotest.test_case "pool maps in input order" `Quick test_pool_map_order;
     Alcotest.test_case "pool runs repeated batches" `Quick test_pool_reuse;
     Alcotest.test_case "pool survives back-to-back tiny batches" `Quick
-      test_pool_back_to_back_batches;
+      (test_pool_back_to_back_batches 2);
+    Alcotest.test_case "pool survives back-to-back tiny batches, 4 domains" `Quick
+      (test_pool_back_to_back_batches 4);
+    Alcotest.test_case "a blocked task does not hold back its batch" `Quick test_pool_blocked_task;
     Alcotest.test_case "single-domain pool degrades to Array.map" `Quick
       test_pool_single_domain_fallback;
     Alcotest.test_case "leftmost task exception is re-raised" `Quick test_pool_exception_leftmost;
+    Alcotest.test_case "a pool keeps working after a raising batch" `Quick
+      test_pool_reuse_after_exception;
     Alcotest.test_case "pool argument and lifecycle errors" `Quick test_pool_invalid_arguments;
     Alcotest.test_case "parallel == sequential over the corpus" `Slow test_corpus_determinism;
     Alcotest.test_case "two raw domains match the sequential pipeline" `Quick
@@ -342,5 +407,7 @@ let suite =
     Alcotest.test_case "hash collision verifies to a miss" `Quick test_ccache_collision_verifies;
     Alcotest.test_case "two domains share one cache safely" `Quick test_ccache_concurrent_access;
     Alcotest.test_case "persisted tier round-trips" `Quick test_ccache_persist_round_trip;
+    Alcotest.test_case "persisted tier honours load capacity" `Quick
+      test_ccache_persist_capacity;
     Alcotest.test_case "corrupted persisted tier loads cold" `Quick test_ccache_corrupt_loads_cold;
   ]
