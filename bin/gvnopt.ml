@@ -493,6 +493,18 @@ let merge_robs ~obs results =
       | _ -> ())
     results
 
+(* Parses [src], read from [path]. A lex or parse error becomes its
+   diagnostic, [path:LINE:COL: lex error: msg] (or [parse error]). *)
+let parse_source ~path src =
+  let diag kind msg off =
+    let line, col = Ir.Lexer.line_col src off in
+    Error (Printf.sprintf "%s:%d:%d: %s error: %s" path line col kind msg)
+  in
+  match Ir.Parser.parse_program src with
+  | routines -> Ok routines
+  | exception Ir.Parser.Error (msg, off) -> diag "parse" msg off
+  | exception Ir.Lexer.Error (msg, off) -> diag "lex" msg off
+
 (* Batch mode: parse every file up front (sequential — the parser is the
    cheap part), fan the routines out across the pool, then print outputs in
    input order. A file that fails to parse reports on stderr and contributes
@@ -503,14 +515,10 @@ let run_batch ~opts ~pool ~cache ~obs paths =
     List.map
       (fun path ->
         Obs.span_o obs ~cat:"pipeline" "parse" @@ fun () ->
-        match Ir.Parser.parse_program (read_file path) with
-        | routines -> routines
-        | exception Ir.Parser.Error (msg, line) ->
-            Fmt.epr "%s:%d: parse error: %s@." path line msg;
-            worst := max !worst 2;
-            []
-        | exception Ir.Lexer.Error (msg, line) ->
-            Fmt.epr "%s:%d: lex error: %s@." path line msg;
+        match parse_source ~path (read_file path) with
+        | Ok routines -> routines
+        | Error diag ->
+            Fmt.epr "%s@." diag;
             worst := max !worst 2;
             [])
       paths
@@ -562,12 +570,9 @@ let write_frame oc payload =
 let serve_frames ~opts ~pool ~cache ~obs ic oc =
   let worst = ref 0 in
   let respond src =
-    match Ir.Parser.parse_program src with
-    | exception Ir.Parser.Error (msg, line) ->
-        (2, Printf.sprintf "<stdin>:%d: parse error: %s\n" line msg)
-    | exception Ir.Lexer.Error (msg, line) ->
-        (2, Printf.sprintf "<stdin>:%d: lex error: %s\n" line msg)
-    | routines ->
+    match parse_source ~path:"<stdin>" src with
+    | Error diag -> (2, diag ^ "\n")
+    | Ok routines ->
         let results =
           Par.Pool.map pool (fun r -> compile_one ~opts ~cache ~obs r) (Array.of_list routines)
         in

@@ -62,73 +62,110 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || is_digit c
 
-(* Tokenizes [src]; comments run from '#' or "//" to end of line. *)
-let tokenize src : (token * int) list =
+(* A pull cursor: [tok] is the current token, [off] its byte offset and
+   [pos] the first byte not yet scanned. At end of input it stays on [EOF]. *)
+type t = { src : string; mutable tok : token; mutable off : int; mutable pos : int }
+
+let set st tok off pos =
+  st.tok <- tok;
+  st.off <- off;
+  st.pos <- pos
+
+let one st tok i = set st tok i (i + 1)
+let two st tok i = set st tok i (i + 2)
+
+let rec skip_line src i =
+  if i < String.length src && src.[i] <> '\n' then skip_line src (i + 1) else i
+
+(* Scans the token at or after byte [i]. *)
+let rec scan st i =
+  let src = st.src in
   let n = String.length src in
-  let toks = ref [] in
-  let emit t pos = toks := (t, pos) :: !toks in
-  let rec skip_line i = if i < n && src.[i] <> '\n' then skip_line (i + 1) else i in
-  let rec go i =
-    if i >= n then emit EOF n
+  if i >= n then set st EOF n n
+  else
+    let c = src.[i] in
+    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then scan st (i + 1)
+    else if c = '#' then scan st (skip_line src i)
+    else if c = '/' && i + 1 < n && src.[i + 1] = '/' then scan st (skip_line src i)
+    else if is_digit c then begin
+      let j = ref i and v = ref 0 in
+      while !j < n && is_digit src.[!j] do
+        let d = Char.code src.[!j] - Char.code '0' in
+        if !v > (max_int - d) / 10 then raise (Error ("integer literal out of range", i));
+        v := (!v * 10) + d;
+        incr j
+      done;
+      set st (INT !v) i !j
+    end
+    else if is_ident_start c then begin
+      let j = ref i in
+      while !j < n && is_ident src.[!j] do
+        incr j
+      done;
+      let word = String.sub src i (!j - i) in
+      set st (match keyword word with Some k -> k | None -> IDENT word) i !j
+    end
     else
-      let c = src.[i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then go (i + 1)
-      else if c = '#' then go (skip_line i)
-      else if c = '/' && i + 1 < n && src.[i + 1] = '/' then go (skip_line i)
-      else if is_digit c then begin
-        let j = ref i in
-        while !j < n && is_digit src.[!j] do
-          incr j
-        done;
-        emit (INT (int_of_string (String.sub src i (!j - i)))) i;
-        go !j
-      end
-      else if is_ident_start c then begin
-        let j = ref i in
-        while !j < n && is_ident src.[!j] do
-          incr j
-        done;
-        let word = String.sub src i (!j - i) in
-        emit (match keyword word with Some k -> k | None -> IDENT word) i;
-        go !j
-      end
-      else
-        let two t = emit t i; go (i + 2) in
-        let one t = emit t i; go (i + 1) in
-        let next = if i + 1 < n then src.[i + 1] else '\000' in
-        match (c, next) with
-        | '=', '=' -> two EQ
-        | '!', '=' -> two NE
-        | '<', '=' -> two LE
-        | '>', '=' -> two GE
-        | '<', '<' -> two SHL
-        | '>', '>' -> two SHR
-        | '&', '&' -> two ANDAND
-        | '|', '|' -> two BARBAR
-        | '=', _ -> one ASSIGN
-        | '<', _ -> one LT
-        | '>', _ -> one GT
-        | '+', _ -> one PLUS
-        | '-', _ -> one MINUS
-        | '*', _ -> one STAR
-        | '/', _ -> one SLASH
-        | '%', _ -> one PERCENT
-        | '&', _ -> one AMP
-        | '|', _ -> one BAR
-        | '^', _ -> one CARET
-        | '!', _ -> one BANG
-        | '~', _ -> one TILDE
-        | '(', _ -> one LPAREN
-        | ')', _ -> one RPAREN
-        | '{', _ -> one LBRACE
-        | '}', _ -> one RBRACE
-        | ',', _ -> one COMMA
-        | ';', _ -> one SEMI
-        | ':', _ -> one COLON
-        | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, i))
+      let next = if i + 1 < n then src.[i + 1] else '\000' in
+      match (c, next) with
+      | '=', '=' -> two st EQ i
+      | '!', '=' -> two st NE i
+      | '<', '=' -> two st LE i
+      | '>', '=' -> two st GE i
+      | '<', '<' -> two st SHL i
+      | '>', '>' -> two st SHR i
+      | '&', '&' -> two st ANDAND i
+      | '|', '|' -> two st BARBAR i
+      | '=', _ -> one st ASSIGN i
+      | '<', _ -> one st LT i
+      | '>', _ -> one st GT i
+      | '+', _ -> one st PLUS i
+      | '-', _ -> one st MINUS i
+      | '*', _ -> one st STAR i
+      | '/', _ -> one st SLASH i
+      | '%', _ -> one st PERCENT i
+      | '&', _ -> one st AMP i
+      | '|', _ -> one st BAR i
+      | '^', _ -> one st CARET i
+      | '!', _ -> one st BANG i
+      | '~', _ -> one st TILDE i
+      | '(', _ -> one st LPAREN i
+      | ')', _ -> one st RPAREN i
+      | '{', _ -> one st LBRACE i
+      | '}', _ -> one st RBRACE i
+      | ',', _ -> one st COMMA i
+      | ';', _ -> one st SEMI i
+      | ':', _ -> one st COLON i
+      | _ -> raise (Error (Printf.sprintf "unexpected character %C" c, i))
+
+let next st = scan st st.pos
+
+let create src =
+  let st = { src; tok = EOF; off = 0; pos = 0 } in
+  next st;
+  st
+
+let tokenize src =
+  let st = create src in
+  let rec go acc =
+    let acc = (st.tok, st.off) :: acc in
+    if st.tok = EOF then List.rev acc
+    else begin
+      next st;
+      go acc
+    end
   in
-  go 0;
-  List.rev !toks
+  go []
+
+let line_col src off =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min off (String.length src) - 1 do
+    if src.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  (!line, off - !bol + 1)
 
 let string_of_token = function
   | INT n -> string_of_int n

@@ -2,11 +2,10 @@
 
 exception Error of string * int
 
-type state = { toks : (Lexer.token * int) array; mutable pos : int }
-
-let peek st = fst st.toks.(st.pos)
-let peek_offset st = snd st.toks.(st.pos)
-let advance st = st.pos <- min (st.pos + 1) (Array.length st.toks - 1)
+(* The parser reads the lexer's cursor directly: no token list is built. *)
+let peek (st : Lexer.t) = st.tok
+let peek_offset (st : Lexer.t) = st.off
+let advance = Lexer.next
 
 let err st msg =
   raise
@@ -258,14 +257,21 @@ let parse_routine st : Ast.routine =
   expect st RBRACE "expected '}'";
   { Ast.name; params; body }
 
-(* Parses a whole source file: one or more routines. *)
+(* Parses a whole source file: one or more routines. A lex error anywhere
+   in the file wins over a parse error, the order a separate tokenizing
+   pass would give: on a parse error the cursor is drained to [EOF], which
+   raises the first lex error past it, if any. *)
 let parse_program src : Ast.routine list =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
+  let st = Lexer.create src in
   let rec loop acc =
     if peek st = EOF then List.rev acc else loop (parse_routine st :: acc)
   in
-  loop []
+  try loop []
+  with Error _ as e ->
+    while peek st <> EOF do
+      advance st
+    done;
+    raise e
 
 let parse_one src =
   match parse_program src with

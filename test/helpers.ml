@@ -2,6 +2,20 @@
 
 let func_of_src = Workload.Corpus.func_of_src
 
+(* The mini-C sources the repository ships, as (name, text) pairs:
+   examples/programs/*.mc in file-name order, then the hand-written
+   corpus. *)
+let shipped_sources () =
+  let dir = Filename.concat ".." (Filename.concat "examples" "programs") in
+  let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort compare
+    |> List.map (fun f -> (f, read f))
+  in
+  examples @ Workload.Corpus.all_named
+
 (* The constant value of the (first reachable) return, if proved. *)
 let return_constant st f =
   let result = ref None in

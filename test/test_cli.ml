@@ -514,6 +514,46 @@ let test_exit_usage_error () =
   Alcotest.(check int) "bad validate mode" 2 (run [ "--validate=bogus"; p ]);
   Alcotest.(check int) "nonexistent input" 2 (run [ "/nonexistent/no-such-file.mc" ])
 
+(* Like [run], but capture stderr for diagnostic checks. *)
+let run_stderr args =
+  let err = Filename.temp_file "gvnopt_cli" ".err" in
+  let code = Sys.command (Filename.quote_command gvnopt ~stdout:Filename.null ~stderr:err args) in
+  let s = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, s)
+
+(* A literal above max_int is a lex error: batch mode exits 2 without an
+   internal error, and the server answers it with status '2' and keeps
+   serving. *)
+let test_int_literal_out_of_range () =
+  let bad = "routine f() { return 99999999999999999999; }\n" in
+  let code, err = run_stderr [ write_tmp "huge.mc" bad ] in
+  Alcotest.(check int) "batch exits 2" 2 code;
+  Alcotest.(check bool) "a lex error" true (contains err "lex error");
+  Alcotest.(check bool) "not an internal error" false (contains err "internal error");
+  let good = "routine f(a) { return a + 1; }\n" in
+  let code, resp, _ = serve_stdin (frame good ^ frame bad ^ frame good) in
+  Alcotest.(check (list string)) "statuses good / bad / good" [ "0"; "2"; "0" ]
+    (List.map (fun r -> String.sub r 0 1) resp);
+  Alcotest.(check int) "serve exits 2" 2 code
+
+(* Frontend diagnostics name the line and column of the error, in batch
+   mode and in --serve error payloads. *)
+let test_diagnostic_line_col () =
+  let src = "routine f() { return 1 + ; }\nroutine g() { return @; }" in
+  let path = write_tmp "linecol.mc" src in
+  let code, err = run_stderr [ path ] in
+  Alcotest.(check int) "batch exits 2" 2 code;
+  Alcotest.(check string) "batch diagnostic"
+    (path ^ ":2:22: lex error: unexpected character '@'\n") err;
+  let _, resp, _ = serve_stdin (frame src ^ frame "routine f() { return 1 + ; }") in
+  Alcotest.(check (list string)) "serve payloads"
+    [
+      "2<stdin>:2:22: lex error: unexpected character '@'\n";
+      "2<stdin>:1:26: parse error: expected expression (found ;)\n";
+    ]
+    resp
+
 let suite =
   [
     Alcotest.test_case "exit 0 on clean runs" `Quick test_exit_clean;
@@ -544,6 +584,9 @@ let suite =
       test_cache_hit_equals_cold;
     Alcotest.test_case "--serve on stdin answers and rejects frames" `Quick
       test_serve_stdin_stream;
+    Alcotest.test_case "an out-of-range literal is a lex error" `Quick
+      test_int_literal_out_of_range;
+    Alcotest.test_case "diagnostics print line and column" `Quick test_diagnostic_line_col;
   ]
   @ List.map
       (fun ((name, _) as set) ->

@@ -187,6 +187,90 @@ let test_prune_unreachable () =
   let reach = Analysis.Graph.reachable g in
   Alcotest.(check bool) "all blocks reachable after prune" true (Array.for_all Fun.id reach)
 
+(* One function holding every instruction form, printed form by form. No
+   golden holds a unary instruction, so this pins the printer's text. *)
+let all_forms () =
+  let module B = Ir.Builder in
+  let bld = B.create ~name:"forms" ~nparams:1 in
+  let b0 = B.add_block bld in
+  let b1 = B.add_block bld in
+  let b2 = B.add_block bld in
+  let b3 = B.add_block bld in
+  let b4 = B.add_block bld in
+  let p = B.param bld b0 0 in
+  let c = B.const bld b0 (-7) in
+  let neg = B.unop bld b0 Ir.Types.Neg p in
+  let lnot = B.unop bld b0 Ir.Types.Lnot c in
+  let bnot = B.unop bld b0 Ir.Types.Bnot neg in
+  let add = B.binop bld b0 Ir.Types.Add p c in
+  let lt = B.cmp bld b0 Ir.Types.Lt add bnot in
+  let call = B.opaque ~tag:3 bld b0 [ p; lnot ] in
+  ignore (B.branch bld b0 lt ~ift:b1 ~iff:b3);
+  let _, dflt = B.switch bld b1 call ~cases:[ (1, b2); (-2, b3) ] ~default:b4 in
+  let j = B.jump bld b2 ~dst:b4 in
+  B.ret bld b3 add;
+  let phi = B.phi bld b4 in
+  B.set_phi_arg bld ~phi ~edge:dflt bnot;
+  B.set_phi_arg bld ~phi ~edge:j call;
+  B.ret bld b4 phi;
+  B.finish bld
+
+let test_printer_forms () =
+  let f = all_forms () in
+  let lines =
+    [
+      "v0 = param 0";
+      "v1 = const -7";
+      "v2 = -v0";
+      "v3 = !v1";
+      "v4 = ~v2";
+      "v5 = v0 + v1";
+      "v6 = v5 < v4";
+      "v7 = opaque#3(v0, v3)";
+      "branch v6, b1, b3";
+      "switch v7 [1: b2; -2: b3] default b4";
+      "jump b4";
+      "return v5";
+      "v12 = phi(b1: v4, b2: v7)";
+      "return v12";
+    ]
+  in
+  Alcotest.(check (list string))
+    "pp_instr lines" lines
+    (List.init (Ir.Func.num_instrs f) (Fmt.str "%a" (Ir.Printer.pp_instr f)));
+  let text =
+    "function forms(1 params), 5 blocks, 14 instrs\n\
+     b0:\n\
+    \  v0 = param 0\n\
+    \  v1 = const -7\n\
+    \  v2 = -v0\n\
+    \  v3 = !v1\n\
+    \  v4 = ~v2\n\
+    \  v5 = v0 + v1\n\
+    \  v6 = v5 < v4\n\
+    \  v7 = opaque#3(v0, v3)\n\
+    \  branch v6, b1, b3\n\
+     b1:  ; preds: b0\n\
+    \  switch v7 [1: b2; -2: b3] default b4\n\
+     b2:  ; preds: b1\n\
+    \  jump b4\n\
+     b3:  ; preds: b0 b1\n\
+    \  return v5\n\
+     b4:  ; preds: b1 b2\n\
+    \  v12 = phi(b1: v4, b2: v7)\n\
+    \  return v12\n"
+  in
+  Alcotest.(check string) "to_string" text (Ir.Printer.to_string f);
+  Alcotest.(check string) "pp agrees with to_string" text (Fmt.str "%a" Ir.Printer.pp f);
+  (* Inside a caller's box, each line break indents like a Format break. *)
+  Alcotest.(check string)
+    "pp_block inside a box" "<b3:  ; preds: b0 b1\n       return v5\n     >"
+    (Fmt.str "<@[<hov 4>%a@]>" (Ir.Printer.pp_block f) 3);
+  Alcotest.(check string)
+    "pp inside a box"
+    ("<" ^ String.concat "\n   " (String.split_on_char '\n' text) ^ ">")
+    (Fmt.str "<@[<v 2>%a@]>" Ir.Printer.pp f)
+
 (* Property: SSA-level and register-level interpreters agree on every
    generated program. *)
 let prop_cir_ssa_agree =
@@ -221,6 +305,68 @@ let prop_ast_roundtrip =
       done;
       !ok)
 
+(* Integer literals are accumulated by the lexer: [max_int] is the largest
+   one, and a longer run is a lex error at the literal, not a crash. *)
+let test_lexer_int_range () =
+  Alcotest.(check (list string))
+    "max_int lexes" [ "return"; string_of_int max_int; ";"; "<eof>" ]
+    (lex_kinds "return 4611686018427387903;");
+  match Ir.Lexer.tokenize "return 4611686018427387904;" with
+  | exception Ir.Lexer.Error (msg, off) ->
+      Alcotest.(check (pair string int))
+        "max_int + 1" ("integer literal out of range", 7) (msg, off)
+  | _ -> Alcotest.fail "max_int + 1 must not lex"
+
+let frontend_error src =
+  match Ir.Parser.parse_program src with
+  | _ -> Alcotest.fail "expected a frontend error"
+  | exception Ir.Parser.Error (msg, off) -> ("parse", msg, off)
+  | exception Ir.Lexer.Error (msg, off) -> ("lex", msg, off)
+
+(* The parser pulls tokens on demand, yet a lex error anywhere in the file
+   still wins over an earlier parse error, as it did when the whole file was
+   tokenized first; a file whose only fault is a parse error keeps its
+   message and offset. *)
+let test_frontend_error_precedence () =
+  let check = Alcotest.(check (triple string string int)) in
+  check "a later lex error wins"
+    ("lex", "unexpected character '@'", 50)
+    (frontend_error "routine f() { return 1 + ; }\nroutine g() { return @; }");
+  check "a parse error alone"
+    ("parse", "expected expression (found ;)", 25)
+    (frontend_error "routine f() { return 1 + ; }\nroutine g() { return 2; }");
+  check "the token after a switch"
+    ("parse", "duplicate case label (found return)", 54)
+    (frontend_error "routine f(x) { switch (x) { case 1: { } case 1: { } } return 0; }")
+
+(* Property: mutated sources (a byte flipped, inserted or deleted, the text
+   truncated, or a 20-digit literal inserted) either parse or raise one of
+   the frontend's own errors — never anything else. *)
+let prop_frontend_errors_only =
+  let sources = lazy (Array.of_list (List.map snd (Helpers.shipped_sources ()))) in
+  QCheck.Test.make ~name:"mutated sources raise only frontend errors" ~count:400
+    QCheck.(quad (int_bound 1000) (int_bound 4) (int_bound 100_000) (int_bound 255))
+    (fun (which, kind, at, byte) ->
+      let srcs = Lazy.force sources in
+      let src = srcs.(which mod Array.length srcs) in
+      let n = String.length src in
+      let at = at mod (n + 1) in
+      let cut i = String.sub src 0 i and rest i = String.sub src i (n - i) in
+      let mutated =
+        match kind with
+        | 0 when at < n -> cut at ^ String.make 1 (Char.chr byte) ^ rest (at + 1)
+        | 1 -> cut at ^ String.make 1 (Char.chr byte) ^ rest at
+        | 2 when at < n -> cut at ^ rest (at + 1)
+        | 3 -> cut at
+        | _ ->
+            let rng = Util.Prng.create byte in
+            let digits = String.init 20 (fun k -> Char.chr (48 + Util.Prng.range rng (if k = 0 then 1 else 0) 9)) in
+            cut at ^ " " ^ digits ^ " " ^ rest at
+      in
+      match Ir.Parser.parse_program mutated with
+      | _ -> true
+      | exception (Ir.Lexer.Error _ | Ir.Parser.Error _) -> true)
+
 let suite =
   [
     Alcotest.test_case "lexer: basics" `Quick test_lexer_basic;
@@ -244,4 +390,9 @@ let suite =
     Alcotest.test_case "lowering: prunes unreachable blocks" `Quick test_prune_unreachable;
     QCheck_alcotest.to_alcotest prop_cir_ssa_agree;
     QCheck_alcotest.to_alcotest prop_ast_roundtrip;
+    Alcotest.test_case "printer: every instruction form" `Quick test_printer_forms;
+    Alcotest.test_case "lexer: integer literal range" `Quick test_lexer_int_range;
+    Alcotest.test_case "frontend: lex errors win over parse errors" `Quick
+      test_frontend_error_precedence;
+    QCheck_alcotest.to_alcotest prop_frontend_errors_only;
   ]

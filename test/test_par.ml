@@ -219,6 +219,34 @@ let test_ccache_fnv1a_pinned () =
   Alcotest.(check int) "every byte value" 162934782521718309
     (Par.Ccache.fnv1a (String.init 256 Char.chr))
 
+(* gvnopt keys the cache on the parsed routine list, so these hashes pin
+   the frontend's ASTs: a parser change that moved any of them would
+   cold-start every persisted cache. Recorded before the streaming
+   parser replaced the token-array one. *)
+let test_ccache_parsed_keys_pinned () =
+  let expected =
+    [
+      ("inference.mc", 595548735069726735);
+      ("loops.mc", 3686939964095487203);
+      ("routine_r.mc", 1926570695549361776);
+      ("routine_r", 1926570695549361776);
+      ("figure6", 253683656970887085);
+      ("figure13", 4036811589270275259);
+      ("figure14a", 760099801554568691);
+      ("figure14b", 120937184420286121);
+      ("loop_invariant", 1892589960275803609);
+      ("cyclic_congruence", 3478090567059217986);
+      ("phi_predication", 4128779748934768460);
+      ("predicate_inference", 146643374007456080);
+      ("reassociation", 727798239178605731);
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "khash of each file's routine list" expected
+    (List.map
+       (fun (name, src) -> (name, (Par.Ccache.key_of (Ir.Parser.parse_program src)).khash))
+       (Helpers.shipped_sources ()))
+
 (* ------------------------------------------------------------------ *)
 (* Ccache: in-memory tier.                                             *)
 
@@ -410,4 +438,5 @@ let suite =
     Alcotest.test_case "persisted tier honours load capacity" `Quick
       test_ccache_persist_capacity;
     Alcotest.test_case "corrupted persisted tier loads cold" `Quick test_ccache_corrupt_loads_cold;
+    Alcotest.test_case "parsed-routine keys are pinned" `Quick test_ccache_parsed_keys_pinned;
   ]
