@@ -39,6 +39,22 @@ let ladder n : Ast.routine =
 
 let ladder_func n = Ssa.Construct.of_cir (Ir.Lower.lower_routine (ladder n))
 
+(* n nested [if (a > k)] guards around [r = r + 1]: one block per guard,
+   each edge newly reachable in RPO order, so touch propagation's cost per
+   edge shows up directly in the driver's time. *)
+let guard_nest n : Ast.routine =
+  let rec nest k =
+    if k > n then [ Ast.Sassign ("r", Ast.Ebinop (Ir.Types.Add, Ast.Evar "r", Ast.Enum 1)) ]
+    else [ Ast.Sif (Ast.Ecmp (Ir.Types.Gt, Ast.Evar "a", Ast.Enum k), nest (k + 1), []) ]
+  in
+  {
+    Ast.name = Printf.sprintf "guard%d" n;
+    params = [ "a" ];
+    body = (Ast.Sassign ("r", Ast.Enum 0) :: nest 1) @ [ Ast.Sreturn (Ast.Evar "r") ];
+  }
+
+let guard_nest_func n = Ssa.Construct.of_cir (Ir.Lower.lower_routine (guard_nest n))
+
 (* A deep chain of straight-line redundant blocks, for scaling measurements
    that should be linear in routine size. *)
 let straightline n : Ast.routine =

@@ -7,6 +7,13 @@ val ladder : int -> Ir.Ast.routine
 
 val ladder_func : int -> Ir.Func.t
 
+val guard_nest : int -> Ir.Ast.routine
+(** n nested [if (a > k) {] guards around [r = r + 1]: a routine of about n
+    blocks in which each guard's edge becomes reachable in turn, the probe
+    shape for touch propagation's per-edge cost. *)
+
+val guard_nest_func : int -> Ir.Func.t
+
 val straightline : int -> Ir.Ast.routine
 (** A long straight-line block of pairwise-redundant additions: scaling
     measurements over it should be linear. *)

@@ -436,6 +436,9 @@ let golden_sets =
     ("schedule-dump", [ "--schedule=dump" ]);
     ("pruning-minimal", [ "--pruning=minimal"; "--stats" ]);
     ("pruning-pruned", [ "--pruning=pruned"; "--stats" ]);
+    ("preset-pessimistic", [ "--preset=pessimistic"; "--stats" ]);
+    ("preset-dense", [ "--preset=dense"; "--stats" ]);
+    ("complete", [ "--complete"; "--stats" ]);
   ]
 
 let golden_inputs () =

@@ -25,4 +25,5 @@ let () =
       ("cli", Test_cli.suite);
       ("workload", Test_workload.suite);
       ("stats", Test_stats.suite);
+      ("touch", Test_touch.suite);
     ]
