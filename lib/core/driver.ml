@@ -844,6 +844,7 @@ let record_metrics obs (st : State.t) =
   Obs.add obs "pgvn.instrs" s.Run_stats.instrs_processed;
   Obs.add obs "pgvn.worklist.instr_touches" s.Run_stats.instr_touches;
   Obs.add obs "pgvn.worklist.block_touches" s.Run_stats.block_touches;
+  Obs.add obs "pgvn.worklist.touch_slots" s.Run_stats.touch_slots;
   Obs.add obs "pgvn.vi_visits" s.Run_stats.value_inference_visits;
   Obs.add obs "pgvn.pi_visits" s.Run_stats.predicate_inference_visits;
   Obs.add obs "pgvn.pp_visits" s.Run_stats.phi_predication_visits;
@@ -912,7 +913,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
           record_rules o rules_before
       | _ -> ())
   @@ fun () ->
-  while !continue_loop && st.touched_count > 0 do
+  while !continue_loop && has_work st do
     st.stats.Run_stats.passes <- st.stats.Run_stats.passes + 1;
     if st.stats.Run_stats.passes > max_passes then
       raise (Diverged (Printf.sprintf "gvn: %s did not converge" f.Ir.Func.name));
@@ -922,11 +923,10 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
       | None -> None
     in
     let pass_changed = ref false in
-    let order = st.rpo.Analysis.Rpo.order in
-    let nb = Array.length order in
+    let nb = Array.length st.rpo.Analysis.Rpo.order in
     let bi = ref 0 in
-    while !bi < nb && st.touched_count > 0 do
-      let b = order.(!bi) in
+    while !bi < nb && has_work st do
+      let b = visit_block st !bi in
       incr bi;
       if st.touched_block.(b) then begin
         untouch_block st b;
@@ -948,6 +948,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
           end)
         instrs
     done;
+    end_sweep st;
     (match (obs, sweep_span) with
     | Some o, Some sp -> Obs.Trace.end_span o.Obs.trace sp
     | _ -> ());

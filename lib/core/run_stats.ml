@@ -41,6 +41,7 @@ type t = {
   mutable instrs_processed : int;
   mutable instr_touches : int;
   mutable block_touches : int;
+  mutable touch_slots : int; (* RPO slots visited by touch propagation *)
   mutable value_inference_visits : int; (* dominator-tree steps *)
   mutable predicate_inference_visits : int;
   mutable phi_predication_visits : int; (* blocks traversed in Figure 8 *)
@@ -61,6 +62,7 @@ let create () =
     instrs_processed = 0;
     instr_touches = 0;
     block_touches = 0;
+    touch_slots = 0;
     value_inference_visits = 0;
     predicate_inference_visits = 0;
     phi_predication_visits = 0;

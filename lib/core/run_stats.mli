@@ -34,6 +34,10 @@ type t = {
   mutable instrs_processed : int;
   mutable instr_touches : int;
   mutable block_touches : int;
+  mutable touch_slots : int;
+      (** RPO slots visited by touch propagation: back-edge spans plus
+          blocks whose flags are set on the sweep's arrival (not printed by
+          {!pp}) *)
   mutable value_inference_visits : int;
   mutable predicate_inference_visits : int;
   mutable phi_predication_visits : int;

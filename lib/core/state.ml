@@ -45,6 +45,12 @@ type t = {
   touched_instr : bool array;
   touched_block : bool array;
   mutable touched_count : int;
+  mutable cursor : int; (* RPO index the sweep is at; the last index outside a sweep *)
+  mutable pending : int;
+      (* watermark: every block at RPO index >= [pending] counts as touched,
+         block and instructions, and gets its flags when the sweep reaches
+         it; always > [cursor], and the block count when nothing is
+         pending *)
   (* predicates *)
   pred_edge : Hexpr.t option array;
   pred_block : Hexpr.t option array;
@@ -174,6 +180,8 @@ let create (config : Config.t) (f : Ir.Func.t) =
     touched_instr = Array.make ni false;
     touched_block = Array.make nb false;
     touched_count = 0;
+    cursor = Array.length rpo.Analysis.Rpo.order - 1;
+    pending = Array.length rpo.Analysis.Rpo.order;
     pred_edge = Array.make ne None;
     pred_block = Array.make nb None;
     partial_pred = Array.make nb None;
@@ -249,18 +257,45 @@ let touch_block_instrs t b =
 let touch_block_phis t b =
   Array.iter (fun i -> touch_instr t i) (Ir.Func.phis_of_block t.f b)
 
+(* Set the flags of the block at RPO index [n] and of its instructions. *)
+let touch_rpo_slot t n =
+  let b = t.rpo.Analysis.Rpo.order.(n) in
+  touch_block t b;
+  touch_block_instrs t b;
+  t.stats.Run_stats.touch_slots <- t.stats.Run_stats.touch_slots + 1
+
 (* Touch everything downstream of block [d] in RPO (practical variant's
-   conservative approximation of dominated-by / postdominates, Figure 5). *)
+   conservative approximation of dominated-by / postdominates, Figure 5).
+   Blocks the sweep has yet to reach only lower the watermark; the span
+   from [d] back to the cursor, which the sweep will not see again this
+   pass, is touched now. *)
 let touch_downstream_rpo t d =
   let dn = t.rpo.Analysis.Rpo.number.(d) in
-  if dn >= 0 then
-    Array.iteri
-      (fun n b ->
-        if n >= dn then begin
-          touch_block t b;
-          touch_block_instrs t b
-        end)
-      t.rpo.Analysis.Rpo.order
+  if dn > t.cursor then t.pending <- min t.pending dn
+  else if dn >= 0 then begin
+    for n = dn to t.cursor do
+      touch_rpo_slot t n
+    done;
+    t.pending <- t.cursor + 1
+  end
+
+let visit_block t n =
+  t.cursor <- n;
+  if n >= t.pending then begin
+    touch_rpo_slot t n;
+    t.pending <- n + 1
+  end;
+  t.rpo.Analysis.Rpo.order.(n)
+
+let end_sweep t =
+  let nb = Array.length t.rpo.Analysis.Rpo.order in
+  for n = t.pending to nb - 1 do
+    touch_rpo_slot t n
+  done;
+  t.cursor <- nb - 1;
+  t.pending <- nb
+
+let has_work t = t.touched_count > 0 || t.pending < Array.length t.rpo.Analysis.Rpo.order
 
 (* Complete variant (Figure 5): touch instructions of blocks dominated by
    [d] (in the reachable dominator tree) and blocks that postdominate [d]. *)

@@ -42,6 +42,15 @@ type t = {
   touched_instr : bool array;
   touched_block : bool array;
   mutable touched_count : int;
+  mutable cursor : int;
+      (** RPO index of the block the sweep is at; the last index outside a
+          sweep. Read and written only through {!visit_block},
+          {!end_sweep} and {!touch_downstream_rpo}. *)
+  mutable pending : int;
+      (** the touch watermark: every block at RPO index [>= pending] counts
+          as touched, block and instructions, though its flags are set only
+          when the sweep reaches it. Always [> cursor]; the number of RPO
+          blocks when nothing is pending. *)
   pred_edge : Hexpr.t option array;  (** PREDICATE of edges (canonical) *)
   pred_block : Hexpr.t option array;  (** PREDICATE of blocks (φ-predication) *)
   partial_pred : Hexpr.t option array;
@@ -92,7 +101,25 @@ val touch_block_phis : t -> int -> unit
 
 val touch_downstream_rpo : t -> int -> unit
 (** The practical variant's conservative propagation (Figure 5): touch every
-    block and instruction at or after the given block in RPO. *)
+    block and instruction at or after the given block in RPO. Blocks ahead
+    of the sweep cursor are touched lazily: the call only lowers the
+    watermark, in O(1), and {!visit_block} sets their flags on arrival. A
+    block at or behind the cursor (a back edge's target, or any block
+    outside a sweep) has the span up to the cursor touched now. The flags a
+    block has when the sweep reaches it, and the touch counters at the end
+    of a sweep, are those of touching every block at once. *)
+
+val visit_block : t -> int -> int
+(** [visit_block t n]: the sweep moves its cursor to RPO index [n] and
+    returns that block, first setting its flags if it lies at or beyond
+    the watermark. A sweep visits [0, 1, …] in order. *)
+
+val end_sweep : t -> unit
+(** End the sweep: touch any block still pending and park the cursor at
+    the last RPO index. *)
+
+val has_work : t -> bool
+(** Whether anything counts as touched: a flag set, or a block pending. *)
 
 val touch_dominated_and_postdominating : t -> int -> unit
 (** The complete variant's propagation: instructions of blocks dominated by
@@ -100,7 +127,9 @@ val touch_dominated_and_postdominating : t -> int -> unit
     it. *)
 
 val propagate_change_in_edge : t -> int -> unit
-(** Figure 5's [Propagate change in edge], per the configured variant. *)
+(** Figure 5's [Propagate change in edge], per the configured variant:
+    {!touch_downstream_rpo} of the edge's target (practical, O(1) for a
+    forward edge) or {!touch_dominated_and_postdominating} (complete). *)
 
 (** {1 Congruence classes} *)
 
