@@ -44,8 +44,9 @@ type t = {
   mutable touched_count : int;
   mutable cursor : int;
       (** RPO index of the block the sweep is at; the last index outside a
-          sweep. Read and written only through {!visit_block},
-          {!end_sweep} and {!touch_downstream_rpo}. *)
+          sweep. Maintained by {!visit_block}, {!end_sweep} and
+          {!touch_downstream_rpo}; the driver reads neither this nor
+          [pending], only {!has_work}. *)
   mutable pending : int;
       (** the touch watermark: every block at RPO index [>= pending] counts
           as touched, block and instructions, though its flags are set only

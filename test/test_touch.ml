@@ -25,14 +25,14 @@ let pp_op = function
 
 let gen_ops =
   QCheck.Gen.(
-    list_size (int_range 1 250)
+    list_size (int_range 1 300)
       (frequency
          [
            (3, map (fun k -> Edge k) nat);
            (1, map (fun k -> Downstream k) nat);
            (2, map (fun k -> Instr k) nat);
            (1, map (fun k -> Users k) nat);
-           (6, return Visit);
+           (10, return Visit);
            (3, map (fun k -> Process k) nat);
            (1, return End_sweep);
          ]))
