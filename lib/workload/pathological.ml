@@ -39,9 +39,9 @@ let ladder n : Ast.routine =
 
 let ladder_func n = Ssa.Construct.of_cir (Ir.Lower.lower_routine (ladder n))
 
-(* n nested [if (a > k)] guards around [r = r + 1]: one block per guard,
-   each edge newly reachable in RPO order, so touch propagation's cost per
-   edge shows up directly in the driver's time. *)
+(* n nested [if (a > k)] guards around [r = r + 1]: three blocks per
+   guard, whose edges become reachable in RPO order, so touch
+   propagation's cost per edge shows up directly in the driver's time. *)
 let guard_nest n : Ast.routine =
   let rec nest k =
     if k > n then [ Ast.Sassign ("r", Ast.Ebinop (Ir.Types.Add, Ast.Evar "r", Ast.Enum 1)) ]

@@ -8,8 +8,8 @@ val ladder : int -> Ir.Ast.routine
 val ladder_func : int -> Ir.Func.t
 
 val guard_nest : int -> Ir.Ast.routine
-(** n nested [if (a > k) {] guards around [r = r + 1]: a routine of about n
-    blocks in which each guard's edge becomes reachable in turn, the probe
+(** n nested [if (a > k) {] guards around [r = r + 1]: a routine of 3n + 1
+    blocks in which each guard's edges become reachable in turn, the probe
     shape for touch propagation's per-edge cost. *)
 
 val guard_nest_func : int -> Ir.Func.t
