@@ -102,12 +102,13 @@ let value_vs_const ~const (op, x, y) =
    edge visited during predicate inference; the engine can pass structural
    {!Expr} atoms or hash-consed {!Hexpr} atoms alike. [same] is atom
    congruence, [const] recognises constant atoms. *)
-(* Test-only fault injection: when set, every verdict [decide] returns is
-   passed through this function. The mutant tests use it to ship an
-   intentionally wrong implication table and assert the static
+(* Test-only fault injection: when set, the engine passes every verdict
+   [decide] returns through this function. The mutant tests use it to ship
+   an intentionally wrong implication table and assert the static
    cross-checker catches the engine's resulting bogus claims. Domain-local
    so a test injecting faults cannot leak wrong verdicts into pipelines
-   running concurrently on other domains. *)
+   running concurrently on other domains; the engine reads it once per
+   walk, through [fault]. *)
 let fault_key : (verdict -> verdict) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -116,7 +117,24 @@ let with_fault f k =
   Domain.DLS.set fault_key (Some f);
   Fun.protect ~finally:(fun () -> Domain.DLS.set fault_key saved) k
 
-let decide_sound ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb : verdict =
+let fault () = Domain.DLS.get fault_key
+
+(* A fact normalized to [fx fop fc] (value against constant) decides a
+   query with one constant side by interval reasoning. A top-level function,
+   not a closure, so a [decide] call allocates none. *)
+let decide_vc ~same ~const ~qop ~qa ~qb fx fop fc =
+  match const qa with
+  | Some qc ->
+      if same fx qb then
+        interval_implies (interval_of ~op:fop ~c:fc) (interval_of ~op:(Ir.Types.swap_cmp qop) ~c:qc)
+      else Unknown
+  | None -> (
+      match const qb with
+      | Some qc when same fx qa ->
+          interval_implies (interval_of ~op:fop ~c:fc) (interval_of ~op:qop ~c:qc)
+      | _ -> Unknown)
+
+let decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb : verdict =
   let table =
     if same fa qa && same fb qb then same_operands_table fop qop
     else if same fa qb && same fb qa then same_operands_table fop (Ir.Types.swap_cmp qop)
@@ -126,24 +144,9 @@ let decide_sound ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb : verdict =
   else
     (* Both sides normalized value-vs-constant, without building tuples:
        the constant side is flipped to the right (cf. [value_vs_const]). *)
-    let decide_vc fx fop fc =
-      match const qa with
-      | Some qc ->
-          if same fx qb then
-            interval_implies (interval_of ~op:fop ~c:fc)
-              (interval_of ~op:(Ir.Types.swap_cmp qop) ~c:qc)
-          else Unknown
-      | None -> (
-          match const qb with
-          | Some qc when same fx qa ->
-              interval_implies (interval_of ~op:fop ~c:fc) (interval_of ~op:qop ~c:qc)
-          | _ -> Unknown)
-    in
     match const fa with
-    | Some fc -> decide_vc fb (Ir.Types.swap_cmp fop) fc
+    | Some fc -> decide_vc ~same ~const ~qop ~qa ~qb fb (Ir.Types.swap_cmp fop) fc
     | None -> (
-        match const fb with Some fc -> decide_vc fa fop fc | None -> Unknown)
-
-let decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb : verdict =
-  let v = decide_sound ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb in
-  match Domain.DLS.get fault_key with None -> v | Some f -> f v
+        match const fb with
+        | Some fc -> decide_vc ~same ~const ~qop ~qa ~qb fa fop fc
+        | None -> Unknown)

@@ -8,10 +8,14 @@ type verdict = True | False | Unknown
 
 val with_fault : (verdict -> verdict) -> (unit -> 'a) -> 'a
 (** Test-only fault injection: [with_fault f k] runs [k] with every
-    {!decide} verdict passed through [f], restoring the previous hook
-    afterwards (also on exceptions) — the mutant tests use it to simulate a
-    wrong implication table. The hook is domain-local: it affects only the
-    installing domain. *)
+    {!decide} verdict the engine takes passed through [f], restoring the
+    previous hook afterwards (also on exceptions) — the mutant tests use it
+    to simulate a wrong implication table. The hook is domain-local: it
+    affects only the installing domain. *)
+
+val fault : unit -> (verdict -> verdict) option
+(** The hook {!with_fault} installed on this domain, if any. The engine
+    reads it once per predicate-inference walk, not once per fact. *)
 
 val same_operands_table : Ir.Types.cmp -> Ir.Types.cmp -> verdict
 (** Given [a OP b], decide [a OP' b]. *)

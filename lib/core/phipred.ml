@@ -25,12 +25,6 @@ type ctx = {
   mutable canonical_rev : int list; (* B0's incoming edges, reverse order *)
 }
 
-let reachable_in_count st b =
-  Array.fold_left
-    (fun n e -> if st.State.reach_edge.(e) then n + 1 else n)
-    0
-    (Ir.Func.block st.State.f b).Ir.Func.preds
-
 let reachable_out_count st b =
   Array.fold_left
     (fun n e -> if st.State.reach_edge.(e) then n + 1 else n)
@@ -66,7 +60,7 @@ let rec partial ctx b (pp : Hexpr.t option) ~ignore_incoming =
   let st = ctx.st in
   st.State.stats.Run_stats.phi_predication_visits <-
     st.State.stats.Run_stats.phi_predication_visits + 1;
-  let n_in = reachable_in_count st b in
+  let n_in = st.State.in_reachable.(b) in
   if ignore_incoming || n_in < 2 then st.State.partial_pred.(b) <- pp
   else begin
     if not st.State.pp_init.(b) then begin
@@ -137,7 +131,7 @@ let compute_block_predicate (st : State.t) b0 =
              a join, every reachable incoming edge contributed an OR
              operand. (The canonical-edge and initialization guards keep a
              stale accumulator from a previous computation from leaking.) *)
-          let n_in = reachable_in_count st b0 in
+          let n_in = st.State.in_reachable.(b0) in
           if ctx.canonical_rev = [] then None
           else if n_in >= 2 then
             if st.State.pp_init.(b0) && st.State.partial_count.(b0) = n_in

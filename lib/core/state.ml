@@ -18,6 +18,10 @@ type cls = {
      value that could possibly match an edge predicate. *)
   mutable eq_operands : int; (* members that are operands of an =/≠ test *)
   mutable cmp_operands : int; (* members that are operands of any comparison *)
+  (* The dynamic counterpart: inference walks are skipped when no edge
+     predicate set right now could answer a query about this class. *)
+  mutable eq_facts : int; (* edge Eq predicates whose right operand is a member *)
+  mutable cmp_facts : int; (* value operands of edge comparison predicates that are members *)
 }
 
 type t = {
@@ -26,6 +30,8 @@ type t = {
   (* per-value *)
   is_eq_operand : bool array; (* operand of an equality/inequality test *)
   is_cmp_operand : bool array; (* operand of any comparison *)
+  eq_fact_refs : int array; (* edge Eq predicates with this value as right operand *)
+  cmp_fact_refs : int array; (* operand slots of edge comparison predicates naming this value *)
   rank : int array;
   class_of : int array;
   next_member : int array;
@@ -41,6 +47,8 @@ type t = {
   (* reachability *)
   reach_block : bool array;
   reach_edge : bool array;
+  in_reachable : int array; (* per block: reachable incoming edges *)
+  sole_in : int array; (* per block: the sole reachable incoming edge, else -1 *)
   (* worklist *)
   touched_instr : bool array;
   touched_block : bool array;
@@ -63,6 +71,7 @@ type t = {
   (* static structure *)
   rpo : Analysis.Rpo.t;
   backward : bool array; (* per edge: RPO back edge *)
+  back_in : bool array; (* per block: some incoming edge is a back edge *)
   dom : Analysis.Dom.t;
   pdom : Analysis.Postdom.t;
   inc_dom : Analysis.Inc_dom.t; (* complete variant: reachable dominator tree *)
@@ -89,6 +98,8 @@ let dummy_class =
     in_table = false;
     eq_operands = 0;
     cmp_operands = 0;
+    eq_facts = 0;
+    cmp_facts = 0;
   }
 
 let create (config : Config.t) (f : Ir.Func.t) =
@@ -134,6 +145,20 @@ let create (config : Config.t) (f : Ir.Func.t) =
           is_eq_operand.(a) <- true
       | _ -> ())
     f.Ir.Func.instrs;
+  (* Under [pred_closure] a switch default edge excludes every case of its
+     scrutinee, a fact the multi-fact fallback collects, so the scrutinee
+     counts as a comparison operand of it from the start. *)
+  let switch_default = Array.make ne None in
+  let cmp_fact_refs = Array.make ni 0 in
+  if config.Config.pred_closure then
+    Array.iteri
+      (fun e (ed : Ir.Func.edge) ->
+        match Ir.Func.instr f (Ir.Func.terminator_of_block f ed.Ir.Func.src) with
+        | Ir.Func.Switch (c, cases) when ed.Ir.Func.src_ix >= Array.length cases ->
+            switch_default.(e) <- Some (c, cases);
+            cmp_fact_refs.(c) <- cmp_fact_refs.(c) + 1
+        | _ -> ())
+      f.Ir.Func.edges;
   let classes = Util.Vec.create ~dummy:dummy_class in
   (* INITIAL: all values, leader ⊥. *)
   let class_of = Array.make ni 0 in
@@ -149,6 +174,8 @@ let create (config : Config.t) (f : Ir.Func.t) =
       in_table = false;
       eq_operands = 0;
       cmp_operands = 0;
+      eq_facts = 0;
+      cmp_facts = 0;
     }
   in
   Util.Vec.push classes initial;
@@ -159,14 +186,18 @@ let create (config : Config.t) (f : Ir.Func.t) =
       initial.head <- i;
       initial.size <- initial.size + 1;
       if is_eq_operand.(i) then initial.eq_operands <- initial.eq_operands + 1;
-      if is_cmp_operand.(i) then initial.cmp_operands <- initial.cmp_operands + 1
+      if is_cmp_operand.(i) then initial.cmp_operands <- initial.cmp_operands + 1;
+      initial.cmp_facts <- initial.cmp_facts + cmp_fact_refs.(i)
     end
   done;
+  let backward = Analysis.Rpo.backward_edges rpo f in
   {
     f;
     config;
     is_eq_operand;
     is_cmp_operand;
+    eq_fact_refs = Array.make ni 0;
+    cmp_fact_refs;
     rank;
     class_of;
     next_member;
@@ -177,6 +208,8 @@ let create (config : Config.t) (f : Ir.Func.t) =
     initial = 0;
     reach_block = Array.make nb false;
     reach_edge = Array.make ne false;
+    in_reachable = Array.make nb 0;
+    sole_in = Array.make nb (-1);
     touched_instr = Array.make ni false;
     touched_block = Array.make nb false;
     touched_count = 0;
@@ -191,22 +224,14 @@ let create (config : Config.t) (f : Ir.Func.t) =
     canonical = Array.make nb [||];
     phi_scratch = Array.make ne None;
     rpo;
-    backward = Analysis.Rpo.backward_edges rpo f;
+    backward;
+    back_in =
+      Array.init nb (fun b -> Array.exists (fun e -> backward.(e)) (Ir.Func.block f b).Ir.Func.preds);
     dom;
     pdom;
     inc_dom = Analysis.Inc_dom.create ~n:nb ~entry:Ir.Func.entry;
     def_use = Ir.Func.def_use f;
-    switch_default =
-      (let sd = Array.make ne None in
-       if config.Config.pred_closure then
-         Array.iteri
-           (fun e (ed : Ir.Func.edge) ->
-             match Ir.Func.instr f (Ir.Func.terminator_of_block f ed.Ir.Func.src) with
-             | Ir.Func.Switch (c, cases) when ed.Ir.Func.src_ix >= Array.length cases ->
-                 sd.(e) <- Some (c, cases)
-             | _ -> ())
-           f.Ir.Func.edges;
-       sd);
+    switch_default;
     stats = Run_stats.create ();
     rules_subject = None;
   }
@@ -325,6 +350,8 @@ let new_class t leader expr =
       in_table = false;
       eq_operands = 0;
       cmp_operands = 0;
+      eq_facts = 0;
+      cmp_facts = 0;
     }
   in
   Util.Vec.push t.classes c;
@@ -340,7 +367,9 @@ let unlink t v =
   t.prev_member.(v) <- -1;
   c.size <- c.size - 1;
   if t.is_eq_operand.(v) then c.eq_operands <- c.eq_operands - 1;
-  if t.is_cmp_operand.(v) then c.cmp_operands <- c.cmp_operands - 1
+  if t.is_cmp_operand.(v) then c.cmp_operands <- c.cmp_operands - 1;
+  c.eq_facts <- c.eq_facts - t.eq_fact_refs.(v);
+  c.cmp_facts <- c.cmp_facts - t.cmp_fact_refs.(v)
 
 let link t v c =
   t.next_member.(v) <- c.head;
@@ -350,7 +379,9 @@ let link t v c =
   c.size <- c.size + 1;
   t.class_of.(v) <- c.cid;
   if t.is_eq_operand.(v) then c.eq_operands <- c.eq_operands + 1;
-  if t.is_cmp_operand.(v) then c.cmp_operands <- c.cmp_operands + 1
+  if t.is_cmp_operand.(v) then c.cmp_operands <- c.cmp_operands + 1;
+  c.eq_facts <- c.eq_facts + t.eq_fact_refs.(v);
+  c.cmp_facts <- c.cmp_facts + t.cmp_fact_refs.(v)
 
 let iter_members t c g =
   let rec go v =
@@ -370,21 +401,49 @@ let block_reachable t b = t.reach_block.(b)
 let reachable_in_edges t b =
   Array.to_list (Ir.Func.block t.f b).Ir.Func.preds |> List.filter (fun e -> t.reach_edge.(e))
 
-(* The single reachable incoming edge of [b], if there is exactly one.
-   Allocation-free: this sits under the dominator walk of every inference
-   query, so it must not build the intermediate edge list. *)
-let sole_reachable_in_edge t b =
-  let preds = (Ir.Func.block t.f b).Ir.Func.preds in
-  let n = Array.length preds in
-  let rec go i found =
-    if i >= n then found
-    else
-      let e = Array.unsafe_get preds i in
-      if t.reach_edge.(e) then if found >= 0 then -2 else go (i + 1) e
-      else go (i + 1) found
-  in
-  let e = go 0 (-1) in
-  if e >= 0 then Some e else None
+(* The one place an edge becomes reachable: keeps its target's reachable
+   in-edge count and sole reachable in-edge, which the dominating-edge
+   walks and φ-predication read in O(1). *)
+let mark_edge_reachable t e =
+  if not t.reach_edge.(e) then begin
+    t.reach_edge.(e) <- true;
+    let d = (Ir.Func.edge t.f e).Ir.Func.dst in
+    let n = t.in_reachable.(d) + 1 in
+    t.in_reachable.(d) <- n;
+    t.sole_in.(d) <- (if n = 1 then e else -1)
+  end
 
-let has_incoming_back_edge t b =
-  Array.exists (fun e -> t.backward.(e)) (Ir.Func.block t.f b).Ir.Func.preds
+let has_incoming_back_edge t b = t.back_in.(b)
+
+(* ---------------- edge predicates ---------------- *)
+
+(* Add [delta] to the fact references of predicate [p]'s value operands,
+   and to their classes' counts. *)
+let count_fact t p delta =
+  match p with
+  | None -> ()
+  | Some p -> (
+      match Hexpr.node p with
+      | Hexpr.Cmp (op, x, y) ->
+          let operand x =
+            match Hexpr.node x with
+            | Hexpr.Value w ->
+                t.cmp_fact_refs.(w) <- t.cmp_fact_refs.(w) + delta;
+                let c = cls t t.class_of.(w) in
+                c.cmp_facts <- c.cmp_facts + delta
+            | _ -> ()
+          in
+          operand x;
+          operand y;
+          (match (op, Hexpr.node y) with
+          | Ir.Types.Eq, Hexpr.Value w ->
+              t.eq_fact_refs.(w) <- t.eq_fact_refs.(w) + delta;
+              let c = cls t t.class_of.(w) in
+              c.eq_facts <- c.eq_facts + delta
+          | _ -> ())
+      | _ -> ())
+
+let set_pred_edge t e p =
+  count_fact t t.pred_edge.(e) (-1);
+  t.pred_edge.(e) <- p;
+  count_fact t p 1

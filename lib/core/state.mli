@@ -18,6 +18,15 @@ type cls = {
       (** members that are operands of an =/≠ test or switch scrutinees
           (§3: inference walks are skipped when zero) *)
   mutable cmp_operands : int;  (** members that are operands of any comparison *)
+  mutable eq_facts : int;
+      (** edge Eq predicates, among those set now, whose right operand is a
+          member: value inference can rewrite a member only through one *)
+  mutable cmp_facts : int;
+      (** value operands of edge comparison predicates set now that are
+          members (under [Config.pred_closure], plus switch default edges
+          whose scrutinee is a member): predicate inference can decide a
+          query only through a fact naming each of its value operands'
+          classes *)
 }
 
 type t = {
@@ -25,6 +34,13 @@ type t = {
   config : Config.t;
   is_eq_operand : bool array;
   is_cmp_operand : bool array;
+  eq_fact_refs : int array;
+      (** per value: edge Eq predicates with the value as right operand;
+          a class's [eq_facts] is its members' sum *)
+  cmp_fact_refs : int array;
+      (** per value: operand slots of edge comparison predicates naming the
+          value (plus switch defaults it scrutinizes, under
+          [Config.pred_closure]); a class's [cmp_facts] is its members' sum *)
   rank : int array;  (** RANK: constants 0, values by RPO definition order *)
   class_of : int array;  (** CLASS *)
   next_member : int array;
@@ -39,6 +55,10 @@ type t = {
   initial : int;  (** the INITIAL class id (0) *)
   reach_block : bool array;
   reach_edge : bool array;
+  in_reachable : int array;  (** per block: reachable incoming edges *)
+  sole_in : int array;
+      (** per block: the sole reachable incoming edge, or [-1] unless
+          exactly one is reachable *)
   touched_instr : bool array;
   touched_block : bool array;
   mutable touched_count : int;
@@ -52,7 +72,8 @@ type t = {
           as touched, block and instructions, though its flags are set only
           when the sweep reaches it. Always [> cursor]; the number of RPO
           blocks when nothing is pending. *)
-  pred_edge : Hexpr.t option array;  (** PREDICATE of edges (canonical) *)
+  pred_edge : Hexpr.t option array;
+      (** PREDICATE of edges (canonical); written only by {!set_pred_edge} *)
   pred_block : Hexpr.t option array;  (** PREDICATE of blocks (φ-predication) *)
   partial_pred : Hexpr.t option array;
   partial_ops : Hexpr.t list array;  (** OR operands accumulating at a join *)
@@ -66,6 +87,7 @@ type t = {
           between evaluations *)
   rpo : Analysis.Rpo.t;
   backward : bool array;  (** BACKWARD: RPO back edges *)
+  back_in : bool array;  (** per block: some incoming edge is a back edge *)
   dom : Analysis.Dom.t;
   pdom : Analysis.Postdom.t;
   inc_dom : Analysis.Inc_dom.t;  (** complete variant's reachable dominator tree *)
@@ -149,5 +171,16 @@ val iter_members : t -> cls -> (Ir.Func.value -> unit) -> unit
 val edge_reachable : t -> int -> bool
 val block_reachable : t -> int -> bool
 val reachable_in_edges : t -> int -> int list
-val sole_reachable_in_edge : t -> int -> int option
+
+val mark_edge_reachable : t -> int -> unit
+(** Make an edge reachable (a no-op if it is already), keeping its
+    target's [in_reachable] and [sole_in]. Every edge becomes reachable
+    through this function. *)
+
 val has_incoming_back_edge : t -> int -> bool
+
+(** {1 Edge predicates} *)
+
+val set_pred_edge : t -> int -> Hexpr.t option -> unit
+(** Set an edge's PREDICATE, keeping [eq_fact_refs], [cmp_fact_refs] and
+    the classes' [eq_facts] and [cmp_facts] in step. *)

@@ -62,15 +62,20 @@ let test_ladder_shape () =
   Alcotest.(check bool) "value inference pays off on the ladder" true
     (s.Pgvn.Driver.congruence_classes < s_off.Pgvn.Driver.congruence_classes)
 
-let test_ladder_quadratic_visits () =
-  (* Figure 9: inference visits grow superlinearly in the ladder height. *)
-  let visits n =
-    let st = Pgvn.Driver.run Pgvn.Config.full (Workload.Pathological.ladder_func n) in
-    st.Pgvn.State.stats.Pgvn.Run_stats.value_inference_visits
-  in
-  let v16 = visits 16 and v64 = visits 64 in
-  (* 4x the size must cost clearly more than 4x the visits. *)
-  Alcotest.(check bool) "superlinear growth" true (v64 > 8 * v16)
+let test_ladder_linear_visits () =
+  (* Figure 9: the paper's walks grow with the square of the ladder height,
+     each rung's new operand climbing every guard above it (617, 10,145 and
+     163,457 value visits at n = 16, 64 and 256 before the walks consulted
+     the per-class fact counts; EXPERIMENTS.md keeps those numbers). A walk
+     now starts only for a value whose class some edge Eq fact names; a
+     rung's new operand has none yet, so the ladder costs at most one visit
+     per rung. *)
+  List.iter
+    (fun n ->
+      let st = Pgvn.Driver.run Pgvn.Config.full (Workload.Pathological.ladder_func n) in
+      let v = st.Pgvn.State.stats.Pgvn.Run_stats.value_inference_visits in
+      if v > n then Alcotest.failf "ladder %d: %d value inference visits > %d" n v n)
+    [ 16; 64; 256 ]
 
 let test_suite_determinism () =
   (* Regression: the ten-benchmark corpus is a pure function of its baked-in
@@ -93,5 +98,5 @@ let suite =
     Alcotest.test_case "loop knob controls loop generation" `Quick test_loop_knob;
     Alcotest.test_case "benchmark suite shape" `Quick test_suite_shape;
     Alcotest.test_case "figure-9 ladder exercises inference" `Quick test_ladder_shape;
-    Alcotest.test_case "figure-9 ladder is superlinear" `Quick test_ladder_quadratic_visits;
+    Alcotest.test_case "figure-9 ladder visits stay linear" `Quick test_ladder_linear_visits;
   ]
