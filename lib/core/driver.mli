@@ -67,6 +67,11 @@ val eval_operand : State.t -> int -> Ir.Func.value -> Hexpr.t option
 val infer_predicate : State.t -> int -> Hexpr.t -> Hexpr.t
 (** Figure 7's [Infer value of predicate]. *)
 
+val branch_predicates : State.t -> int -> Hexpr.t option -> Hexpr.t option * Hexpr.t option
+(** The predicates of the true and false edges of a branch at the given
+    block on the given condition atom, re-evaluated over current leaders
+    and inferred in one walk; [None] where unknown or constant. *)
+
 val symbolic_eval : State.t -> int -> Ir.Func.value -> Ir.Func.instr -> Hexpr.t option
 (** Figure 4's [Perform symbolic evaluation]; [None] = ⊥. *)
 

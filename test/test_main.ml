@@ -26,4 +26,5 @@ let () =
       ("workload", Test_workload.suite);
       ("stats", Test_stats.suite);
       ("touch", Test_touch.suite);
+      ("walk", Test_walk.suite);
     ]
