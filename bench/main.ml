@@ -228,7 +228,7 @@ let scalars suite =
     (float_of_int !pp /. float_of_int !instrs)
 
 let fig9 () =
-  Fmt.pr "@\n=== Figure 9: value-inference worst case (O(n^2) ladder) ===@\n";
+  Fmt.pr "@\n=== Figure 9: value-inference worst case (the paper's O(n^2) ladder) ===@\n";
   let sizes = [ 8; 16; 32; 64; 128 ] in
   let rows =
     List.map
@@ -261,8 +261,10 @@ let fig9 () =
            ])
          rows)
     Fmt.stdout;
-  Fmt.pr "  (visits/n growing linearly in n means total work is quadratic,@\n";
-  Fmt.pr "   the paper's Figure 9 worst case)@\n"
+  Fmt.pr "  (the paper's walks climb every rung above each new operand: visits/n@\n";
+  Fmt.pr "   grows linearly in n, quadratic total work. A walk here starts only for@\n";
+  Fmt.pr "   a value whose class some edge Eq fact names, so visits/n stays at most 1;@\n";
+  Fmt.pr "   EXPERIMENTS.md keeps the quadratic numbers)@\n"
 
 let fig13 () =
   Fmt.pr "@\n=== Figure 13: Briggs-Torczon-Cooper pre-pass vs unified inference ===@\n";
