@@ -2,8 +2,10 @@ module Ast = Ir.Ast
 
 (* The paper's Figure 9: the worst case of value inference. A ladder of n
    nested equality guards I1 = I2, I2 = I3, …; discovering the congruence
-   under the innermost guard makes every value-inference walk climb the
-   whole dominator chain, for O(n²) total work. *)
+   under the innermost guard makes every value-inference walk of the
+   paper climb the whole dominator chain, for O(n²) total work. The
+   engine walks only for values some edge Eq fact names, at most one
+   visit per rung. *)
 
 let ladder n : Ast.routine =
   let var k = Printf.sprintf "i%d" k in
