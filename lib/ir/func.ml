@@ -119,9 +119,9 @@ let validate f =
   let fail fmt = Printf.ksprintf failwith fmt in
   let nb = num_blocks f and ni = num_instrs f and ne = num_edges f in
   if nb = 0 then fail "function %s has no blocks" f.name;
-  let check_value ctx v =
-    if v < 0 || v >= ni then fail "%s: value %d out of range" ctx v;
-    if not (defines_value f.instrs.(v)) then fail "%s: operand %d defines no value" ctx v
+  let check_value i v =
+    if v < 0 || v >= ni then fail "instr %d: value %d out of range" i v;
+    if not (defines_value f.instrs.(v)) then fail "instr %d: operand %d defines no value" i v
   in
   Array.iteri
     (fun e { src; dst; src_ix; dst_ix } ->
@@ -149,7 +149,7 @@ let validate f =
                 fail "phi %d: %d args for %d preds" i (Array.length args)
                   (Array.length blk.preds)
           | _ -> seen_nonphi := true);
-          iter_operands (check_value (Printf.sprintf "instr %d" i)) ins;
+          iter_operands (check_value i) ins;
           match ins with
           | Jump ->
               if Array.length blk.succs <> 1 then fail "block %d: jump succs" b

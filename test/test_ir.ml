@@ -179,6 +179,32 @@ let test_builder_final_value () =
   | Ir.Interp.Ret 42 -> ()
   | r -> Alcotest.failf "expected 42, got %a" Ir.Interp.pp_result r
 
+(* A bad operand is reported with the instruction that reads it. *)
+let test_validate_operand_messages () =
+  let f = Workload.Corpus.func_of_src "routine f(a) { return a * 3; }" in
+  let ni = Ir.Func.num_instrs f in
+  let mul = ref (-1) and ret = ref (-1) in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Ir.Func.Binop _ -> mul := i
+      | Ir.Func.Return _ -> ret := i
+      | _ -> ())
+    f.Ir.Func.instrs;
+  let with_operand v =
+    let instrs = Array.copy f.Ir.Func.instrs in
+    (match instrs.(!mul) with
+    | Ir.Func.Binop (op, a, _) -> instrs.(!mul) <- Ir.Func.Binop (op, a, v)
+    | _ -> assert false);
+    { f with Ir.Func.instrs }
+  in
+  Alcotest.check_raises "out of range"
+    (Failure (Printf.sprintf "instr %d: value %d out of range" !mul (ni + 4)))
+    (fun () -> ignore (Ir.Func.validate (with_operand (ni + 4))));
+  Alcotest.check_raises "no value"
+    (Failure (Printf.sprintf "instr %d: operand %d defines no value" !mul !ret))
+    (fun () -> ignore (Ir.Func.validate (with_operand !ret)))
+
 let test_prune_unreachable () =
   (* Statements after return are unreachable and must be pruned. *)
   let cir = Ir.Lower.lower_routine (Ir.Parser.parse_one
@@ -395,4 +421,6 @@ let suite =
     Alcotest.test_case "frontend: lex errors win over parse errors" `Quick
       test_frontend_error_precedence;
     QCheck_alcotest.to_alcotest prop_frontend_errors_only;
+    Alcotest.test_case "validate: operand messages name the instruction" `Quick
+      test_validate_operand_messages;
   ]

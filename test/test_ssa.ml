@@ -142,7 +142,10 @@ let words_per_instr pruning stmt_budget =
     List.init 6 (fun k ->
         Ir.Lower.lower_routine (Workload.Generator.routine ~profile ~seed:(k + 1) ~name:"w" ()))
   in
+  (* [Gc.counters] does not see what was allocated since the last minor
+     collection, so collect first: the count is then exact. *)
   let allocated () =
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
