@@ -19,7 +19,11 @@ type trace = { mutable steps : int; mutable blocks_visited : int }
 
 val run : ?fuel:int -> ?trace:trace -> Func.t -> int array -> result
 (** Execute on the given arguments (missing parameters read 0). [fuel]
-    bounds executed instructions (default 100_000). *)
+    bounds executed instructions (default 100_000); every instruction, φs
+    included, costs one unit and counts one [trace] step. The three entry
+    points share one loop, which allocates per run, not per block or
+    instruction.
+    @raise Invalid_argument on an empty block or a φ in the entry block. *)
 
 val run_instrumented :
   ?fuel:int ->

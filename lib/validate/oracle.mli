@@ -3,7 +3,8 @@
     arXiv:1504.03239) used to certify the sparse engine's rewrites. It
     shares nothing with [lib/core]: its own reachability, its own RPO walk,
     its own hash-based partition, and none of the paper's predicate
-    machinery. Simple and slow by design. *)
+    machinery. Simple by design: dense rounds over the whole reachable
+    function, with array-backed data. *)
 
 type t
 
