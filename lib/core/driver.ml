@@ -446,34 +446,34 @@ let eval_arith st (kind : [ `Add | `Sub | `Mul | `Neg ]) atoms =
     let build ~propagate =
       let ts = List.map (atom_terms ~propagate st) atoms in
       match (kind, ts) with
-      | `Add, [ a; b ] -> Expr.merge_terms rank a b
-      | `Sub, [ a; b ] -> Expr.merge_terms rank a (Expr.negate_terms b)
-      | `Mul, [ a; b ] -> Expr.mul_terms rank a b
-      | `Neg, [ a ] -> Expr.negate_terms a
+      | `Add, [ a; b ] -> Hexpr.merge_terms rank a b
+      | `Sub, [ a; b ] -> Hexpr.merge_terms rank a (Hexpr.negate_terms b)
+      | `Mul, [ a; b ] -> Hexpr.mul_terms rank a b
+      | `Neg, [ a ] -> Hexpr.negate_terms a
       | _ -> invalid_arg "eval_arith"
     in
     let propagate = cfg.Config.reassociation in
     let ts = build ~propagate in
     let ts =
-      if propagate && Expr.size_of_terms ts > cfg.Config.propagation_limit then
+      if propagate && Hexpr.size_of_terms ts > cfg.Config.propagation_limit then
         build ~propagate:false
       else ts
     in
     Hexpr.of_terms st.arena ts
   end
   else
-    let op : Expr.opsym =
+    let op : Hexpr.opsym =
       match kind with
-      | `Add -> Expr.Ubop Ir.Types.Add
-      | `Sub -> Expr.Ubop Ir.Types.Sub
-      | `Mul -> Expr.Ubop Ir.Types.Mul
-      | `Neg -> Expr.Uuop Ir.Types.Neg
+      | `Add -> Hexpr.Ubop Ir.Types.Add
+      | `Sub -> Hexpr.Ubop Ir.Types.Sub
+      | `Mul -> Hexpr.Ubop Ir.Types.Mul
+      | `Neg -> Hexpr.Uuop Ir.Types.Neg
     in
     match (cfg.Config.constant_folding, op, List.map Hexpr.node atoms) with
-    | true, Expr.Ubop bop, [ Hexpr.Const a; Hexpr.Const b ]
+    | true, Hexpr.Ubop bop, [ Hexpr.Const a; Hexpr.Const b ]
       when not (Ir.Types.binop_can_trap bop a b) ->
         Hexpr.const st.arena (Ir.Types.eval_binop bop a b)
-    | true, Expr.Uuop uop, [ Hexpr.Const a ] ->
+    | true, Hexpr.Uuop uop, [ Hexpr.Const a ] ->
         Hexpr.const st.arena (Ir.Types.eval_unop uop a)
     | _ -> Hexpr.op_ st.arena op atoms (* syntactic: no commutative reordering *)
 
@@ -484,7 +484,7 @@ let eval_nonassoc_binop st op x y =
     match (cfg.Config.constant_folding, Hexpr.node x, Hexpr.node y) with
     | true, Hexpr.Const a, Hexpr.Const b when not (Ir.Types.binop_can_trap op a b) ->
         Hexpr.const st.arena (Ir.Types.eval_binop op a b)
-    | _ -> Hexpr.op_ st.arena (Expr.Ubop op) [ x; y ] (* syntactic *)
+    | _ -> Hexpr.op_ st.arena (Hexpr.Ubop op) [ x; y ] (* syntactic *)
 
 let eval_unop st op x =
   let cfg = st.config in
@@ -492,7 +492,7 @@ let eval_unop st op x =
   else
     match (cfg.Config.constant_folding, Hexpr.node x) with
     | true, Hexpr.Const a -> Hexpr.const st.arena (Ir.Types.eval_unop op a)
-    | _ -> Hexpr.op_ st.arena (Expr.Uuop op) [ x ] (* syntactic *)
+    | _ -> Hexpr.op_ st.arena (Hexpr.Uuop op) [ x ] (* syntactic *)
 
 let eval_cmp st op x y =
   match (Hexpr.node x, Hexpr.node y) with

@@ -1,13 +1,24 @@
-(* Hash-consed expressions. See hexpr.mli for the design contract; the
-   structural twin (and test oracle) is Expr. *)
+(* Hash-consed symbolic expressions (paper §2.2–2.3). See hexpr.mli for
+   the design contract.
+
+   Arithmetic ([+], [-], [*], unary [-]) is kept in canonical
+   sum-of-products form ({!Sum}): an ordered list of terms, each an integer
+   coefficient times an ordered list of value factors; the constant part is
+   the term with no factors. Ordering follows value ranks (constants rank 0,
+   values by definition order in RPO), and "values and products that differ
+   only in sign are treated as equal when ordering" — the sign lives in the
+   coefficient. *)
+
+type term = { coeff : int; factors : int list (* value ids, rank-sorted *) }
+type opsym = Ubop of Ir.Types.binop | Uuop of Ir.Types.unop
 
 type t = node Util.Hashcons.consed
 
 and node =
   | Const of int
   | Value of int
-  | Sum of Expr.term list
-  | Op of Expr.opsym * t list
+  | Sum of term list
+  | Op of opsym * t list
   | Cmp of Ir.Types.cmp * t * t
   | Phi of key * t list
   | Opq of int * t list
@@ -53,9 +64,7 @@ let cmp_code : Ir.Types.cmp -> int = function
   | Gt -> 4
   | Ge -> 5
 
-let sym_code = function
-  | Expr.Ubop b -> binop_code b
-  | Expr.Uuop u -> 16 + unop_code u
+let sym_code = function Ubop b -> binop_code b | Uuop u -> 16 + unop_code u
 
 (* Shallow equality/hash over one node: children by physical identity /
    tag, scalars structurally. This is what makes interning O(arity) and
@@ -97,7 +106,7 @@ module N = struct
         List.fold_left
           (fun h t ->
             comb
-              (List.fold_left comb (comb h t.Expr.coeff) t.Expr.factors)
+              (List.fold_left comb (comb h t.coeff) t.factors)
               17)
           4 ts
     | Op (o, xs) -> hash_children (comb 5 (sym_code o)) xs
@@ -203,29 +212,76 @@ let por a xs =
       | [ x ] -> x
       | xs -> intern a (Por xs))
 
-(* ---------------- the atom algebra, mirrored from Expr ---------------- *)
+(* ---------------- sum-of-products algebra ---------------- *)
 
+(* [rank] orders values; see paper §2.2. *)
+let compare_factors rank fs gs =
+  let key v = (rank v, v) in
+  let rec go fs gs =
+    match (fs, gs) with
+    | [], [] -> 0
+    | [], _ :: _ -> -1
+    | _ :: _, [] -> 1
+    | f :: fs, g :: gs ->
+        let c = compare (key f) (key g) in
+        if c <> 0 then c else go fs gs
+  in
+  go fs gs
+
+(* Merge two sorted term lists, combining coefficients of equal products and
+   dropping zero terms. *)
+let merge_terms rank ts us =
+  let rec go ts us =
+    match (ts, us) with
+    | [], rest | rest, [] -> rest
+    | t :: ts', u :: us' ->
+        let c = compare_factors rank t.factors u.factors in
+        if c < 0 then t :: go ts' us
+        else if c > 0 then u :: go ts us'
+        else
+          let coeff = t.coeff + u.coeff in
+          if coeff = 0 then go ts' us' else { coeff; factors = t.factors } :: go ts' us'
+  in
+  go ts us
+
+let negate_terms ts = List.map (fun t -> { t with coeff = -t.coeff }) ts
+
+(* Number of atomic operands a term list represents; the forward-propagation
+   limit (§2.2 footnote 4) bounds this. *)
+let size_of_terms ts =
+  List.fold_left (fun n t -> n + 1 + List.length t.factors) 0 ts
+
+let sort_factors rank fs = List.sort (fun a b -> compare (rank a, a) (rank b, b)) fs
+
+(* Product of two term lists (full distribution). *)
+let mul_terms rank ts us =
+  List.fold_left
+    (fun acc t ->
+      let row =
+        List.map
+          (fun u -> { coeff = t.coeff * u.coeff; factors = sort_factors rank (t.factors @ u.factors) })
+          us
+      in
+      (* Row terms may collide after sorting; merge them in one by one. *)
+      List.fold_left (fun acc tm -> merge_terms rank acc [ tm ]) acc row)
+    [] ts
+
+(* A sum reduced back to the simplest expression form. *)
 let of_terms a ts =
   match ts with
   | [] -> const a 0
-  | [ { Expr.coeff; factors = [] } ] -> const a coeff
-  | [ { Expr.coeff = 1; factors = [ v ] } ] -> value a v
+  | [ { coeff; factors = [] } ] -> const a coeff
+  | [ { coeff = 1; factors = [ v ] } ] -> value a v
   | ts -> sum a ts
 
 let terms_of_atom x =
   match node x with
   | Const 0 -> []
-  | Const n -> [ { Expr.coeff = n; factors = [] } ]
-  | Value v -> [ { Expr.coeff = 1; factors = [ v ] } ]
+  | Const n -> [ { coeff = n; factors = [] } ]
+  | Value v -> [ { coeff = 1; factors = [ v ] } ]
   | _ -> invalid_arg "Hexpr.terms_of_atom"
 
-let terms_opt x =
-  match node x with
-  | Const 0 -> Some []
-  | Const n -> Some [ { Expr.coeff = n; factors = [] } ]
-  | Value v -> Some [ { Expr.coeff = 1; factors = [ v ] } ]
-  | Sum ts -> Some ts
-  | Op _ | Cmp _ | Phi _ | Opq _ | Self _ | Pand _ | Por _ -> None
+(* ---------------- comparisons and operators over atoms ---------------- *)
 
 let is_atom x = match node x with Const _ | Value _ -> true | _ -> false
 
@@ -235,6 +291,9 @@ let atom_rank rank x =
   | Value v -> (rank v, v)
   | _ -> invalid_arg "Hexpr.atom_rank"
 
+(* Canonical comparison between atoms: folds constants, resolves identical
+   operands, and orders operands by increasing rank (flipping the operator
+   when they swap, §2.8). *)
 let cmp_atoms a rank op x y =
   match (node x, node y) with
   | Const p, Const q -> const a (Ir.Types.eval_cmp op p q)
@@ -246,9 +305,13 @@ let cmp_atoms a rank op x y =
 
 let is_predicate x = match node x with Cmp _ -> true | _ -> false
 
+let op_commutative = function
+  | Ubop op -> Ir.Types.binop_commutative op
+  | Uuop _ -> false
+
 let make_op a rank sym args =
   let args =
-    if Expr.op_commutative sym then
+    if op_commutative sym then
       List.sort (fun u v -> compare (atom_rank rank u) (atom_rank rank v)) args
     else args
   in
@@ -258,85 +321,32 @@ let negate_pred a x =
   match node x with
   | Cmp (op, u, v) -> cmp_ a (Ir.Types.negate_cmp op) u v
   | Const n -> const a (if n = 0 then 1 else 0)
-  | _ -> op_ a (Expr.Uuop Ir.Types.Lnot) [ x ]
+  | _ -> op_ a (Uuop Ir.Types.Lnot) [ x ]
 
-(* Simplification consults the shared rule table through a shallow subject,
-   exactly as {!Expr.binop_atoms} does (the agreement property in
-   test/test_expr.ml pins the two algebras together): constants are visible,
-   everything else is an opaque atom, compound right-hand sides are
-   declined. The driver's state-aware subject (Rewrite) additionally sees
-   through congruence classes; these entry points stay for clients without
-   a [State.t] — and as the oracle the tests compare against. *)
-let rules_subject a rank : t Rules.Engine.subject =
-  {
-    Rules.Engine.view =
-      (fun x -> match node x with Const n -> Rules.Engine.Sconst n | _ -> Rules.Engine.Satom);
-    equal;
-    bconst = const a;
-    bunop =
-      (fun op x ->
-        match node x with
-        | Const p -> Some (const a (Ir.Types.eval_unop op p))
-        | _ -> if is_atom x then Some (make_op a rank (Expr.Uuop op) [ x ]) else None);
-    bbinop =
-      (fun op x y ->
-        match (node x, node y) with
-        | Const p, Const q -> Option.map (const a) (Ir.Types.fold_binop op p q)
-        | _ ->
-            if is_atom x && is_atom y then Some (make_op a rank (Expr.Ubop op) [ x; y ])
-            else None);
-    reduce = (fun x -> if is_atom x then Some x else None);
-  }
+(* ---------------- printing (tests and debugging) ---------------- *)
 
-let binop_atoms a rank (op : Ir.Types.binop) x y =
-  match
-    Rules.Engine.rewrite_binop (Rules.Engine.shared ()) (rules_subject a rank) op x y
-  with
-  | Some r -> r
-  | None -> make_op a rank (Expr.Ubop op) [ x; y ]
-
-let unop_atom a rank (op : Ir.Types.unop) x =
-  match (op, node x) with
-  | Ir.Types.Lnot, Cmp (c, u, v) -> cmp_ a (Ir.Types.negate_cmp c) u v
-  | _ -> (
-      match
-        Rules.Engine.rewrite_unop (Rules.Engine.shared ()) (rules_subject a rank) op x
-      with
-      | Some r -> r
-      | None -> make_op a rank (Expr.Uuop op) [ x ])
-
-(* ---------------- conversions ---------------- *)
-
-let rec to_expr x =
+let rec pp ppf x =
   match node x with
-  | Const n -> Expr.Const n
-  | Value v -> Expr.Value v
-  | Self v -> Expr.Self v
-  | Sum ts -> Expr.Sum ts
-  | Op (o, xs) -> Expr.Op (o, List.map to_expr xs)
-  | Cmp (o, u, v) -> Expr.Cmp (o, to_expr u, to_expr v)
-  | Phi (Kblock b, xs) -> Expr.Phi (Expr.Kblock b, List.map to_expr xs)
-  | Phi (Kpred p, xs) -> Expr.Phi (Expr.Kpred (to_expr p), List.map to_expr xs)
-  | Opq (t, xs) -> Expr.Opq (t, List.map to_expr xs)
-  | Pand xs -> Expr.Pand (List.map to_expr xs)
-  | Por xs -> Expr.Por (List.map to_expr xs)
+  | Const n -> Fmt.int ppf n
+  | Value v -> Fmt.pf ppf "v%d" v
+  | Self v -> Fmt.pf ppf "self(v%d)" v
+  | Sum ts ->
+      let pp_term ppf t =
+        match t.factors with
+        | [] -> Fmt.int ppf t.coeff
+        | fs ->
+            if t.coeff <> 1 then Fmt.pf ppf "%d*" t.coeff;
+            Fmt.(list ~sep:(any "*") (fun ppf v -> pf ppf "v%d" v)) ppf fs
+      in
+      Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any " + ") pp_term) ts
+  | Op (Ubop op, [ u; v ]) -> Fmt.pf ppf "(%a %s %a)" pp u (Ir.Types.string_of_binop op) pp v
+  | Op (Uuop op, [ u ]) -> Fmt.pf ppf "%s%a" (Ir.Types.string_of_unop op) pp u
+  | Op (_, args) -> Fmt.pf ppf "op(%a)" Fmt.(list ~sep:(any ", ") pp) args
+  | Cmp (op, u, v) -> Fmt.pf ppf "(%a %s %a)" pp u (Ir.Types.string_of_cmp op) pp v
+  | Phi (Kblock b, args) -> Fmt.pf ppf "phi[b%d](%a)" b Fmt.(list ~sep:(any ", ") pp) args
+  | Phi (Kpred p, args) -> Fmt.pf ppf "phi[%a](%a)" pp p Fmt.(list ~sep:(any ", ") pp) args
+  | Opq (tg, args) -> Fmt.pf ppf "opaque#%d(%a)" tg Fmt.(list ~sep:(any ", ") pp) args
+  | Pand xs -> Fmt.pf ppf "(and %a)" Fmt.(list ~sep:sp pp) xs
+  | Por xs -> Fmt.pf ppf "(or %a)" Fmt.(list ~sep:sp pp) xs
 
-let rec of_expr a (e : Expr.t) =
-  match e with
-  | Expr.Const n -> const a n
-  | Expr.Value v -> value a v
-  | Expr.Self v -> self a v
-  | Expr.Sum ts -> sum a ts
-  | Expr.Op (o, xs) -> op_ a o (List.map (of_expr a) xs)
-  | Expr.Cmp (o, u, v) -> cmp_ a o (of_expr a u) (of_expr a v)
-  | Expr.Phi (Expr.Kblock b, xs) -> phi a (Kblock b) (List.map (of_expr a) xs)
-  | Expr.Phi (Expr.Kpred p, xs) ->
-      phi a (Kpred (of_expr a p)) (List.map (of_expr a) xs)
-  | Expr.Opq (t, xs) -> opq a t (List.map (of_expr a) xs)
-  | Expr.Pand xs -> pand a (List.map (of_expr a) xs)
-  | Expr.Por xs -> por a (List.map (of_expr a) xs)
-
-let pp ppf x = Expr.pp ppf (to_expr x)
-let to_string x = Expr.to_string (to_expr x)
-
-module Table = HC.Tbl
+let to_string x = Fmt.str "%a" pp x

@@ -1,33 +1,39 @@
-(** Hash-consed symbolic expressions: the arena-backed twin of {!Expr}.
+(** Symbolic expressions (§2.2–2.3): the canonical form of what an
+    instruction computes, over congruence-class leaders. The TABLE is keyed
+    on this type, so congruent instructions must evaluate to equal
+    expressions.
 
-    Every structurally distinct expression is interned exactly once per
-    {!arena}, so equality is physical ([==] / {!tag} comparison) and
-    hashing is O(1) — the paper's "the cost of a hash lookup is independent
-    of program size" cost model, which the plain recursive {!Expr.t} loses
-    (each TABLE probe re-walks the whole tree).
+    Arithmetic is kept as a canonical sum of products ({!Sum}): ordered
+    terms of an integer coefficient times rank-ordered value factors; the
+    constant part is the factor-less term. Non-reassociable operations keep
+    atomic operands ({!Op}). Comparisons are rank-canonicalized, flipping
+    the operator when operands swap. φ-expressions carry their block — or,
+    under φ-predication, the block's control predicate, an or-of-ands of
+    edge predicates.
 
-    Nodes mirror {!Expr.t} constructor for constructor, with two deliberate
-    differences enforced by the smart constructors:
+    Expressions are hash-consed: every structurally distinct expression is
+    interned exactly once per {!arena}, so equality is physical ([==] /
+    {!tag} comparison) and hashing is O(1) — the paper's "the cost of a
+    hash lookup is independent of program size" cost model. The smart
+    constructors enforce two invariants:
 
     - {b children are consed}: interning a node hashes only its children's
       tags, O(arity), and every later probe of the same structure is O(1);
     - {b predicates are canonical at construction}: {!pand}/{!por} flatten
       nested conjunctions/disjunctions, sort children by tag and drop
       duplicates, so path predicates built through different traversal
-      shapes land on the same cell (and hence the same TABLE slot) for
-      free — the [xs @ [q]] appends of the φ-predication walk disappear.
+      shapes land on the same cell (and hence the same TABLE slot). *)
 
-    The structural {!Expr} module stays untouched and serves as the test
-    oracle: [of_expr]/[to_expr] round-trips and the agreement properties
-    are pinned in [test/test_expr.ml]. *)
+type term = { coeff : int; factors : int list (** value ids, rank-sorted *) }
+type opsym = Ubop of Ir.Types.binop | Uuop of Ir.Types.unop
 
 type t = node Util.Hashcons.consed
 
 and node =
   | Const of int
   | Value of int  (** a congruence-class leader *)
-  | Sum of Expr.term list  (** canonical sum of products (term ids only) *)
-  | Op of Expr.opsym * t list  (** non-reassociable op over atomic operands *)
+  | Sum of term list  (** canonical sum of products *)
+  | Op of opsym * t list  (** non-reassociable op over atomic operands *)
   | Cmp of Ir.Types.cmp * t * t
   | Phi of key * t list
   | Opq of int * t list  (** uninterpreted function of tag and atoms *)
@@ -63,11 +69,11 @@ val equal_key : key -> key -> bool
 val const : arena -> int -> t
 val value : arena -> int -> t
 val self : arena -> int -> t
-val sum : arena -> Expr.term list -> t
+val sum : arena -> term list -> t
 (** Raw [Sum] node — the term list must already be canonical; prefer
     {!of_terms}. *)
 
-val op_ : arena -> Expr.opsym -> t list -> t
+val op_ : arena -> opsym -> t list -> t
 (** Raw [Op] node, no operand sorting; prefer {!make_op}. *)
 
 val cmp_ : arena -> Ir.Types.cmp -> t -> t -> t
@@ -83,34 +89,56 @@ val pand : arena -> t list -> t
 val por : arena -> t list -> t
 (** Disjunction, canonicalized like {!pand}; empty collapses to [Const 0]. *)
 
-(** {1 The atom algebra, mirrored from {!Expr}}
+(** {1 Sum-of-products algebra}
 
-    Same semantics, same simplifications — property-tested to agree. Term
-    lists are shared with {!Expr} (they contain only ints), so
-    {!Expr.merge_terms} & co. apply unchanged. *)
+    Each function takes the rank function ordering values (§2.2: constants
+    rank 0, values by definition order in RPO). All term lists are and stay
+    canonical: sorted by factors, coefficients nonzero, products unique. *)
 
-val of_terms : arena -> Expr.term list -> t
-val terms_of_atom : t -> Expr.term list
-val terms_opt : t -> Expr.term list option
+val compare_factors : (int -> int) -> int list -> int list -> int
+
+val merge_terms : (int -> int) -> term list -> term list -> term list
+(** Addition. *)
+
+val negate_terms : term list -> term list
+
+val mul_terms : (int -> int) -> term list -> term list -> term list
+(** Multiplication with full distribution. *)
+
+val size_of_terms : term list -> int
+(** Operand count, bounded by the forward-propagation limit (§2.2 fn. 4). *)
+
+val sort_factors : (int -> int) -> int list -> int list
+
+val of_terms : arena -> term list -> t
+(** Reduce to the simplest form: [Const 0], a constant, a bare value, or a
+    [Sum]. *)
+
+val terms_of_atom : t -> term list
+(** @raise Invalid_argument on non-atoms. *)
+
+(** {1 Comparisons and operators over atoms} *)
+
 val is_atom : t -> bool
+(** [Const] or [Value]. *)
+
 val atom_rank : (int -> int) -> t -> int * int
+(** Sort key placing constants before values, values by rank. *)
+
 val cmp_atoms : arena -> (int -> int) -> Ir.Types.cmp -> t -> t -> t
+(** Canonical comparison: folds constants and identical operands, orders
+    operands by increasing rank (flipping the operator on swap, §2.8). *)
+
 val negate_pred : arena -> t -> t
+(** The complement of a predicate; closed on comparisons. *)
+
 val is_predicate : t -> bool
-val make_op : arena -> (int -> int) -> Expr.opsym -> t list -> t
-val binop_atoms : arena -> (int -> int) -> Ir.Types.binop -> t -> t -> t
-val unop_atom : arena -> (int -> int) -> Ir.Types.unop -> t -> t
+val op_commutative : opsym -> bool
 
-(** {1 Conversions and printing} *)
+val make_op : arena -> (int -> int) -> opsym -> t list -> t
+(** An [Op] node, sorting the operands when the operator is commutative. *)
 
-val of_expr : arena -> Expr.t -> t
-(** Interns a structural expression, canonicalizing [Pand]/[Por] children
-    on the way in. *)
-
-val to_expr : t -> Expr.t
+(** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-module Table : Hashtbl.S with type key = t
-(** TABLE keyed by consed expressions: O(1) hash and equality per probe. *)

@@ -99,9 +99,9 @@ let value_vs_const ~const (op, x, y) =
 (* [decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb]: assuming fact
    [fa fop fb] holds, the truth of query [qa qop qb]. Comparisons come as
    scalar arguments — not tuples — because this runs once per dominating
-   edge visited during predicate inference; the engine can pass structural
-   {!Expr} atoms or hash-consed {!Hexpr} atoms alike. [same] is atom
-   congruence, [const] recognises constant atoms. *)
+   edge visited during predicate inference. Generic in the atom type: the
+   engine passes hash-consed {!Hexpr} atoms, the tests their own. [same] is
+   atom congruence, [const] recognises constant atoms. *)
 (* Test-only fault injection: when set, the engine passes every verdict
    [decide] returns through this function. The mutant tests use it to ship
    an intentionally wrong implication table and assert the static

@@ -51,7 +51,7 @@ val decide :
 (** [decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb]: assuming the fact
     [fa fop fb] holds, the truth of the query [qa qop qb]. Comparisons are
     passed as scalars (no tuples — this sits on the predicate-inference
-    walk). Generic in the atom representation (structural {!Expr} or
-    hash-consed {!Hexpr}): [same] is atom congruence, [const] recognises
-    constant atoms. Sound: [True]/[False] verdicts never contradict any
+    walk). Generic in the atom representation (the engine passes
+    hash-consed {!Hexpr} atoms, the tests their own): [same] is atom
+    congruence, [const] recognises constant atoms. Sound: [True]/[False] verdicts never contradict any
     satisfying assignment. *)

@@ -65,9 +65,9 @@ let make_subject (st : State.t) : Hexpr.t Rules.Engine.subject =
             match (cls st st.class_of.(v)).expr with
             | Some e -> (
                 match Hexpr.node e with
-                | Hexpr.Op (Expr.Ubop op, [ p; q ]) ->
+                | Hexpr.Op (Hexpr.Ubop op, [ p; q ]) ->
                     Rules.Engine.Sbinop (op, refresh st p, refresh st q)
-                | Hexpr.Op (Expr.Uuop op, [ p ]) -> Rules.Engine.Sunop (op, refresh st p)
+                | Hexpr.Op (Hexpr.Uuop op, [ p ]) -> Rules.Engine.Sunop (op, refresh st p)
                 | _ -> Rules.Engine.Satom)
             | None -> Rules.Engine.Satom)
         | _ -> Rules.Engine.Satom);
@@ -78,8 +78,8 @@ let make_subject (st : State.t) : Hexpr.t Rules.Engine.subject =
         match (op, Hexpr.node x) with
         | _, Hexpr.Const p -> Some (Hexpr.const arena (Ir.Types.eval_unop op p))
         | Ir.Types.Neg, _ ->
-            Some (Hexpr.of_terms arena (Expr.negate_terms (Hexpr.terms_of_atom x)))
-        | _ -> Some (Hexpr.make_op arena rank (Expr.Uuop op) [ x ]));
+            Some (Hexpr.of_terms arena (Hexpr.negate_terms (Hexpr.terms_of_atom x)))
+        | _ -> Some (Hexpr.make_op arena rank (Hexpr.Uuop op) [ x ]));
     bbinop =
       (fun op x y ->
         match (Hexpr.node x, Hexpr.node y) with
@@ -90,17 +90,17 @@ let make_subject (st : State.t) : Hexpr.t Rules.Engine.subject =
             | Ir.Types.Add ->
                 Some
                   (Hexpr.of_terms arena
-                     (Expr.merge_terms rank (Hexpr.terms_of_atom x) (Hexpr.terms_of_atom y)))
+                     (Hexpr.merge_terms rank (Hexpr.terms_of_atom x) (Hexpr.terms_of_atom y)))
             | Ir.Types.Sub ->
                 Some
                   (Hexpr.of_terms arena
-                     (Expr.merge_terms rank (Hexpr.terms_of_atom x)
-                        (Expr.negate_terms (Hexpr.terms_of_atom y))))
+                     (Hexpr.merge_terms rank (Hexpr.terms_of_atom x)
+                        (Hexpr.negate_terms (Hexpr.terms_of_atom y))))
             | Ir.Types.Mul ->
                 Some
                   (Hexpr.of_terms arena
-                     (Expr.mul_terms rank (Hexpr.terms_of_atom x) (Hexpr.terms_of_atom y)))
-            | _ -> Some (Hexpr.make_op arena rank (Expr.Ubop op) [ x; y ])));
+                     (Hexpr.mul_terms rank (Hexpr.terms_of_atom x) (Hexpr.terms_of_atom y)))
+            | _ -> Some (Hexpr.make_op arena rank (Hexpr.Ubop op) [ x; y ])));
     reduce = (fun e -> atom_of_expr st e);
   }
 
@@ -123,8 +123,8 @@ let binop_atoms (st : State.t) (op : Ir.Types.binop) x y =
     | Hexpr.Const p, Hexpr.Const q -> (
         match Ir.Types.fold_binop op p q with
         | Some c -> Hexpr.const st.arena c
-        | None -> Hexpr.make_op st.arena (rank_fn st) (Expr.Ubop op) [ x; y ])
-    | _ -> Hexpr.make_op st.arena (rank_fn st) (Expr.Ubop op) [ x; y ]
+        | None -> Hexpr.make_op st.arena (rank_fn st) (Hexpr.Ubop op) [ x; y ])
+    | _ -> Hexpr.make_op st.arena (rank_fn st) (Hexpr.Ubop op) [ x; y ]
   in
   if st.config.Config.rules then
     match Rules.Engine.rewrite_binop (Rules.Engine.shared ()) (subject_of st) op x y with
@@ -139,7 +139,7 @@ let unop_atom (st : State.t) (op : Ir.Types.unop) x =
       let fallback () =
         match Hexpr.node x with
         | Hexpr.Const p -> Hexpr.const st.arena (Ir.Types.eval_unop op p)
-        | _ -> Hexpr.make_op st.arena (rank_fn st) (Expr.Uuop op) [ x ]
+        | _ -> Hexpr.make_op st.arena (rank_fn st) (Hexpr.Uuop op) [ x ]
       in
       if st.config.Config.rules then
         match Rules.Engine.rewrite_unop (Rules.Engine.shared ()) (subject_of st) op x with

@@ -72,3 +72,51 @@ let all_configs =
     ("sccp-exact", Pgvn.Config.emulate_sccp_exact);
     ("awz", Pgvn.Config.emulate_awz);
   ]
+
+(* A shallow rule-table client over hash-consed atoms, for the expression
+   and rule-catalog properties: constants are visible to the matcher,
+   everything else is an opaque atom, and compound right-hand sides are
+   declined, so only depth-1 identities fire. The engine's own subject
+   ([Pgvn.Rewrite.make_subject]) also sees through congruence classes and
+   needs a [State.t]; this one needs only an arena. Constant folding is the
+   matcher's, which refuses folds that would hide a run-time trap. *)
+module Shallow = struct
+  module H = Pgvn.Hexpr
+
+  let subject a rank : H.t Rules.Engine.subject =
+    {
+      Rules.Engine.view =
+        (fun x ->
+          match H.node x with H.Const n -> Rules.Engine.Sconst n | _ -> Rules.Engine.Satom);
+      equal = H.equal;
+      bconst = H.const a;
+      bunop =
+        (fun op x ->
+          match H.node x with
+          | H.Const p -> Some (H.const a (Ir.Types.eval_unop op p))
+          | _ -> if H.is_atom x then Some (H.make_op a rank (H.Uuop op) [ x ]) else None);
+      bbinop =
+        (fun op x y ->
+          match (H.node x, H.node y) with
+          | H.Const p, H.Const q -> Option.map (H.const a) (Ir.Types.fold_binop op p q)
+          | _ ->
+              if H.is_atom x && H.is_atom y then Some (H.make_op a rank (H.Ubop op) [ x; y ])
+              else None);
+      reduce = (fun x -> if H.is_atom x then Some x else None);
+    }
+
+  let binop_atoms a rank op x y =
+    match Rules.Engine.rewrite_binop (Rules.Engine.shared ()) (subject a rank) op x y with
+    | Some r -> r
+    | None -> H.make_op a rank (H.Ubop op) [ x; y ]
+
+  (* [!(a ≷ b)] stays a comparison, as in the engine: comparisons are
+     outside the rule DSL's term language. *)
+  let unop_atom a rank op x =
+    match (op, H.node x) with
+    | Ir.Types.Lnot, H.Cmp (c, u, v) -> H.cmp_ a (Ir.Types.negate_cmp c) u v
+    | _ -> (
+        match Rules.Engine.rewrite_unop (Rules.Engine.shared ()) (subject a rank) op x with
+        | Some r -> r
+        | None -> H.make_op a rank (H.Uuop op) [ x ])
+end

@@ -1,33 +1,25 @@
 (* Exhaustive soundness of the predicate implication logic (§2.7): for every
    pair of comparisons over two symbolic values and small constants, and for
    every integer assignment, a True/False verdict must agree with the
-   ground truth whenever the fact holds. *)
+   ground truth whenever the fact holds. [Infer.decide] is generic in the
+   atom type, so the atoms here are plain data. *)
 
-module E = Pgvn.Expr
 module I = Pgvn.Infer
+
+type atom = C of int | V of int
 
 let ops = [ Ir.Types.Eq; Ne; Lt; Le; Gt; Ge ]
 
 (* Atom universe: two values (ids 0, 1) and constants -2..2. *)
-let atoms =
-  E.Value 0 :: E.Value 1 :: List.init 5 (fun i -> E.Const (i - 2))
+let atoms = V 0 :: V 1 :: List.init 5 (fun i -> C (i - 2))
+let same (a : atom) b = a = b
+let const = function C n -> Some n | V _ -> None
+let eval_atom env = function C n -> n | V v -> env.(v)
+let holds env (op, a, b) = Ir.Types.eval_cmp op (eval_atom env a) (eval_atom env b) = 1
+let show_atom = function C n -> string_of_int n | V v -> Printf.sprintf "v%d" v
 
-let same a b =
-  match (a, b) with
-  | E.Value v, E.Value w -> v = w
-  | E.Const x, E.Const y -> x = y
-  | _ -> false
-
-let const = function E.Const n -> Some n | _ -> None
-
-let eval_atom env = function
-  | E.Const n -> n
-  | E.Value v -> env.(v)
-  | _ -> assert false
-
-let holds env = function
-  | E.Cmp (op, a, b) -> Ir.Types.eval_cmp op (eval_atom env a) (eval_atom env b) = 1
-  | _ -> assert false
+let show (op, a, b) =
+  Printf.sprintf "(%s %s %s)" (show_atom a) (Ir.Types.string_of_cmp op) (show_atom b)
 
 let test_exhaustive_soundness () =
   let checked = ref 0 in
@@ -43,8 +35,8 @@ let test_exhaustive_soundness () =
                     (fun qa ->
                       List.iter
                         (fun qb ->
-                          let fact = E.Cmp (fop, fa, fb) in
-                          let query = E.Cmp (qop, qa, qb) in
+                          let fact = (fop, fa, fb) in
+                          let query = (qop, qa, qb) in
                           match
                             I.decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb
                           with
@@ -61,11 +53,11 @@ let test_exhaustive_soundness () =
                                     | I.True ->
                                         if not q then
                                           Alcotest.failf "unsound True: %s => %s with x=%d y=%d"
-                                            (E.to_string fact) (E.to_string query) x y
+                                            (show fact) (show query) x y
                                     | I.False ->
                                         if q then
                                           Alcotest.failf "unsound False: %s => %s with x=%d y=%d"
-                                            (E.to_string fact) (E.to_string query) x y
+                                            (show fact) (show query) x y
                                     | I.Unknown -> ()
                                   end
                                 done
@@ -80,10 +72,7 @@ let test_exhaustive_soundness () =
 
 (* Completeness spot checks: the paper's motivating inferences must be
    decided, not Unknown. *)
-let destructure = function E.Cmp (op, a, b) -> (op, a, b) | _ -> assert false
-
-let check_verdict msg expected fact query =
-  let fop, fa, fb = destructure fact and qop, qa, qb = destructure query in
+let check_verdict msg expected (fop, fa, fb) (qop, qa, qb) =
   let got = I.decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb in
   let to_s = function I.True -> "True" | I.False -> "False" | I.Unknown -> "Unknown" in
   Alcotest.(check string) msg (to_s expected) (to_s got)
@@ -91,42 +80,42 @@ let check_verdict msg expected fact query =
 let test_paper_inferences () =
   (* "the value of X < 0 is false in a block dominated by X > 0" *)
   check_verdict "X>0 refutes X<0" I.False
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 0))
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Const 0));
+    (Ir.Types.Gt, V 0, C 0)
+    (Ir.Types.Lt, V 0, C 0);
   (* Figure 2: Z > 1 makes Z < 1 false (via Z > I with I = 1). *)
   check_verdict "Z>1 refutes Z<1" I.False
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 1))
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Const 1));
+    (Ir.Types.Gt, V 0, C 1)
+    (Ir.Types.Lt, V 0, C 1);
   (* Same-operand table. *)
   check_verdict "X=Y implies X<=Y" I.True
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Value 1))
-    (E.Cmp (Ir.Types.Le, E.Value 0, E.Value 1));
+    (Ir.Types.Eq, V 0, V 1)
+    (Ir.Types.Le, V 0, V 1);
   check_verdict "X<Y implies Y>=X ... mirrored" I.True
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Value 1))
-    (E.Cmp (Ir.Types.Gt, E.Value 1, E.Value 0));
+    (Ir.Types.Lt, V 0, V 1)
+    (Ir.Types.Gt, V 1, V 0);
   check_verdict "X<Y refutes X=Y" I.False
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Value 1))
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Value 1));
+    (Ir.Types.Lt, V 0, V 1)
+    (Ir.Types.Eq, V 0, V 1);
   (* Interval reasoning across different constants. *)
   check_verdict "X>3 implies X>1" I.True
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 3))
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 1));
+    (Ir.Types.Gt, V 0, C 3)
+    (Ir.Types.Gt, V 0, C 1);
   check_verdict "X>3 implies X!=2" I.True
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 3))
-    (E.Cmp (Ir.Types.Ne, E.Value 0, E.Const 2));
+    (Ir.Types.Gt, V 0, C 3)
+    (Ir.Types.Ne, V 0, C 2);
   check_verdict "X>3 refutes X=0" I.False
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const 3))
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Const 0));
+    (Ir.Types.Gt, V 0, C 3)
+    (Ir.Types.Eq, V 0, C 0);
   check_verdict "X=2 implies X<=2" I.True
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Const 2))
-    (E.Cmp (Ir.Types.Le, E.Value 0, E.Const 2));
+    (Ir.Types.Eq, V 0, C 2)
+    (Ir.Types.Le, V 0, C 2);
   (* Genuinely undecidable stays Unknown. *)
   check_verdict "X<=Y leaves X<Y unknown" I.Unknown
-    (E.Cmp (Ir.Types.Le, E.Value 0, E.Value 1))
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Value 1));
+    (Ir.Types.Le, V 0, V 1)
+    (Ir.Types.Lt, V 0, V 1);
   check_verdict "unrelated operands stay unknown" I.Unknown
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Const 0))
-    (E.Cmp (Ir.Types.Lt, E.Value 1, E.Const 0))
+    (Ir.Types.Lt, V 0, C 0)
+    (Ir.Types.Lt, V 1, C 0)
 
 (* All 36 fact×query pairs of [same_operands_table], differenced against
    brute force over a small domain — in both directions: a True/False
@@ -165,20 +154,20 @@ let test_same_operands_exhaustive () =
    domain must not wrap into full-domain facts. *)
 let test_interval_trap_boundaries () =
   check_verdict "X>=5 refutes X>max_int" I.False
-    (E.Cmp (Ir.Types.Ge, E.Value 0, E.Const 5))
-    (E.Cmp (Ir.Types.Gt, E.Value 0, E.Const max_int));
+    (Ir.Types.Ge, V 0, C 5)
+    (Ir.Types.Gt, V 0, C max_int);
   check_verdict "X<=5 refutes X<min_int" I.False
-    (E.Cmp (Ir.Types.Le, E.Value 0, E.Const 5))
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Const min_int));
+    (Ir.Types.Le, V 0, C 5)
+    (Ir.Types.Lt, V 0, C min_int);
   check_verdict "X<=min_int implies X=min_int" I.True
-    (E.Cmp (Ir.Types.Le, E.Value 0, E.Const min_int))
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Const min_int));
+    (Ir.Types.Le, V 0, C min_int)
+    (Ir.Types.Eq, V 0, C min_int);
   check_verdict "X>=max_int implies X=max_int" I.True
-    (E.Cmp (Ir.Types.Ge, E.Value 0, E.Const max_int))
-    (E.Cmp (Ir.Types.Eq, E.Value 0, E.Const max_int));
+    (Ir.Types.Ge, V 0, C max_int)
+    (Ir.Types.Eq, V 0, C max_int);
   check_verdict "X>=max_int refutes X<max_int" I.False
-    (E.Cmp (Ir.Types.Ge, E.Value 0, E.Const max_int))
-    (E.Cmp (Ir.Types.Lt, E.Value 0, E.Const max_int))
+    (Ir.Types.Ge, V 0, C max_int)
+    (Ir.Types.Lt, V 0, C max_int)
 
 let suite =
   [

@@ -8,7 +8,7 @@
 
 module P = Rules.Pattern
 module V = Rules.Verify
-module E = Pgvn.Expr
+module H = Pgvn.Hexpr
 
 (* Deterministic: the same seed the --rules=verify CLI gate uses. *)
 let fixed_seed = 0x5eed
@@ -105,43 +105,39 @@ let test_shadow_lint () =
 (* The compiled matcher replaced hand-coded identity ladders whose contract
    was: the simplified expression is semantically identical to the plain
    operator application, with strict trap agreement. Property-test exactly
-   that contract over random atoms. *)
+   that contract over random atoms, through the shallow rule subject
+   ([Helpers.Shallow]). *)
 
 exception Trap
 
-let rec eval_expr (env : int array) (e : E.t) : int =
-  match e with
-  | E.Const n -> n
-  | E.Value v -> env.(v)
-  | E.Sum ts ->
+let rec eval_expr (env : int array) (e : H.t) : int =
+  match H.node e with
+  | H.Const n -> n
+  | H.Value v -> env.(v)
+  | H.Sum ts ->
       List.fold_left
-        (fun acc (t : E.term) ->
-          acc + (t.E.coeff * List.fold_left (fun p v -> p * env.(v)) 1 t.E.factors))
+        (fun acc (t : H.term) ->
+          acc + (t.H.coeff * List.fold_left (fun p v -> p * env.(v)) 1 t.H.factors))
         0 ts
-  | E.Op (E.Ubop op, [ a; b ]) -> (
+  | H.Op (H.Ubop op, [ a; b ]) -> (
       let x = eval_expr env a and y = eval_expr env b in
       match Ir.Types.fold_binop op x y with Some r -> r | None -> raise Trap)
-  | E.Op (E.Uuop op, [ a ]) -> Ir.Types.eval_unop op (eval_expr env a)
-  | E.Cmp (c, a, b) -> Ir.Types.eval_cmp c (eval_expr env a) (eval_expr env b)
+  | H.Op (H.Uuop op, [ a ]) -> Ir.Types.eval_unop op (eval_expr env a)
+  | H.Cmp (c, a, b) -> Ir.Types.eval_cmp c (eval_expr env a) (eval_expr env b)
   | _ -> Alcotest.fail "unexpected expression shape from binop_atoms"
 
 let rank v = v + 1
+
+(* One arena for the generated atoms: the properties only build cells. *)
+let arena = H.create ()
 
 let gen_atom =
   QCheck.Gen.(
     oneof
       [
-        map (fun n -> E.Const n) (int_range (-8) 8);
-        oneofl
-          [
-            E.Const min_int;
-            E.Const max_int;
-            E.Const (-1);
-            E.Const 62;
-            E.Const 63;
-            E.Const (1 lsl 61);
-          ];
-        map (fun v -> E.Value v) (int_range 0 3);
+        map (H.const arena) (int_range (-8) 8);
+        map (H.const arena) (oneofl [ min_int; max_int; -1; 62; 63; 1 lsl 61 ]);
+        map (H.value arena) (int_range 0 3);
       ])
 
 let gen_binop =
@@ -161,7 +157,8 @@ let prop_binop_atoms_semantics =
   QCheck.Test.make ~name:"binop_atoms agrees with operator semantics (trap-strict)"
     ~count:2000
     QCheck.(
-      quad (make gen_binop) (make gen_atom) (make gen_atom) arb_env)
+      quad (make gen_binop) (make ~print:H.to_string gen_atom)
+        (make ~print:H.to_string gen_atom) arb_env)
     (fun (op, a, b, env) ->
       let direct =
         try
@@ -169,14 +166,14 @@ let prop_binop_atoms_semantics =
           Ir.Types.fold_binop op x y
         with Trap -> None
       in
-      direct = sem env (E.binop_atoms rank op a b))
+      direct = sem env (Helpers.Shallow.binop_atoms arena rank op a b))
 
 let prop_unop_atom_semantics =
   QCheck.Test.make ~name:"unop_atom agrees with operator semantics" ~count:1000
-    QCheck.(triple (make gen_unop) (make gen_atom) arb_env)
+    QCheck.(triple (make gen_unop) (make ~print:H.to_string gen_atom) arb_env)
     (fun (op, a, env) ->
       let direct = try Some (Ir.Types.eval_unop op (eval_expr env a)) with Trap -> None in
-      direct = sem env (E.unop_atom rank op a))
+      direct = sem env (Helpers.Shallow.unop_atom arena rank op a))
 
 (* ---------------- ten-benchmark congruence differential ---------------- *)
 
