@@ -18,21 +18,11 @@ type t =
   | Kbinop of Ir.Types.binop * rep * rep
   | Kcmp of Ir.Types.cmp * rep * rep
 
-let equal (a : t) (b : t) = a = b
-let hash (k : t) = Hashtbl.hash k
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
 module HC = Util.Hashcons.Make (struct
   type nonrec t = t
 
-  let equal = equal
-  let hash = hash
+  let equal (a : t) (b : t) = a = b
+  let hash (k : t) = Hashtbl.hash k
 end)
 
 type consed = t Util.Hashcons.consed

@@ -13,13 +13,6 @@ type t =
   | Kbinop of Ir.Types.binop * rep * rep
   | Kcmp of Ir.Types.cmp * rep * rep
 
-val equal : t -> t -> bool
-val hash : t -> int
-
-module Table : Hashtbl.S with type key = t
-(** Structural key table (kept for tests and as the oracle of the consed
-    variant). *)
-
 (** {1 Hash-consed keys}
 
     One arena per numbering run: numbering tables key on consed cells, so a
