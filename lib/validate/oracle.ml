@@ -79,10 +79,7 @@ let rec ints_equal (a : int array) b k = k < 0 || (a.(k) = b.(k) && ints_equal a
    apart. *)
 let mix h x = (h lxor x) * 0x100000001B3
 
-(* Keys are interned in one arena shared by every numbering round (they
-   mention only stable instruction ids), so a key recurring across rounds
-   finds its cell, and the round table lives in the cells' slots. *)
-module HK = Util.Hashcons.Make (struct
+module Key = struct
   type t = key
 
   let equal a b =
@@ -105,7 +102,12 @@ module HK = Util.Hashcons.Make (struct
     | Kcmp (_, a, b) -> mix (mix 6 a) b
     | Kcall (tag, xs) -> Array.fold_left mix (mix 7 tag) xs
     | Kphi (b, xs) -> Array.fold_left mix (mix 8 b) xs
-end)
+end
+
+(* Keys are interned in one arena shared by every numbering round (they
+   mention only stable instruction ids), so a key recurring across rounds
+   finds its cell, and the round table lives in the cells' slots. *)
+module HK = Util.Hashcons.Make (Key)
 
 (* Reverse post-order over all statically present edges; unreachable blocks
    are simply skipped during numbering. *)

@@ -27,3 +27,30 @@ val rounds : t -> int
 
 val classes : t -> int
 (** Distinct congruence classes among reachable values. *)
+
+(** {1 Test seam: numbering keys}
+
+    The keys a round interns, with the equality and hash of the key table.
+    Exposed for the unit suite only: the table compares stored hashes
+    before it calls [equal], so two keys that differ in one operand rarely
+    reach [equal] from any input routine, and a fault there would go
+    unseen. *)
+
+type key =
+  | Kconst of int
+  | Kparam of int
+  | Kself of int  (** a value pinned into its own class this round *)
+  | Kunop of Ir.Types.unop * int
+  | Kbinop of Ir.Types.binop * int * int
+  | Kcmp of Ir.Types.cmp * int * int
+  | Kcall of int * int array  (** opaque tag, argument numbers *)
+  | Kphi of int * int array
+      (** block, then (pred index, number) of each live input, flattened *)
+
+module Key : sig
+  val equal : key -> key -> bool
+  (** Structural equality ([a = b]), without polymorphic compare. *)
+
+  val hash : key -> int
+  (** Consistent with {!equal}. *)
+end

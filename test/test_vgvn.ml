@@ -88,6 +88,79 @@ let test_rule_skip_is_exact () =
           (Ir.Types.string_of_binop op))
     Ir.Types.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
 
+(* The oracle's key table, held to OCaml's structural equality directly.
+   A round reaches [Key.equal] only when two keys' full stored hashes
+   collide, so the routine-level suites above never see it decide; here it
+   meets pairs built to differ in one place: a call argument or φ entry at
+   index 0, any single array element, a φ pred index (the even entries), an
+   operator, or the leading tag or block. *)
+module O = Validate.Oracle
+
+let gen_key =
+  QCheck.Gen.(
+    let small = int_range 0 4 in
+    let ints = map Array.of_list (list_size (int_range 0 4) small) in
+    let phi_entries =
+      map
+        (fun l -> Array.of_list (List.concat_map (fun (p, n) -> [ p; n ]) l))
+        (list_size (int_range 1 3) (pair small small))
+    in
+    oneof
+      [
+        map (fun c -> O.Kconst c) small;
+        map (fun k -> O.Kparam k) small;
+        map (fun i -> O.Kself i) small;
+        map2 (fun o a -> O.Kunop (o, a)) (oneofl Ir.Types.[ Neg; Lnot; Bnot ]) small;
+        map3
+          (fun o a b -> O.Kbinop (o, a, b))
+          (oneofl Ir.Types.[ Add; Sub; Div; Xor ])
+          small small;
+        map3 (fun o a b -> O.Kcmp (o, a, b)) (oneofl Ir.Types.[ Eq; Lt; Ge ]) small small;
+        map2 (fun t xs -> O.Kcall (t, xs)) small ints;
+        map2 (fun b xs -> O.Kphi (b, xs)) small phi_entries;
+      ])
+
+(* A copy of [k] (fresh arrays) changed at most in one place. *)
+let gen_variant k =
+  QCheck.Gen.(
+    let bump x = x + 1 in
+    let set_at xs j = Array.mapi (fun i x -> if i = j then bump x else x) xs in
+    let arrays = function
+      | O.Kcall (t, xs) -> Some ((fun ys -> O.Kcall (t, ys)), xs)
+      | O.Kphi (b, xs) -> Some ((fun ys -> O.Kphi (b, ys)), xs)
+      | _ -> None
+    in
+    let same = match arrays k with Some (mk, xs) -> mk (Array.copy xs) | None -> k in
+    let lead = function
+      | O.Kconst c -> O.Kconst (bump c)
+      | O.Kparam c -> O.Kparam (bump c)
+      | O.Kself c -> O.Kself (bump c)
+      | O.Kunop (o, a) -> O.Kunop (Ir.Types.(if o = Neg then Bnot else Neg), a)
+      | O.Kbinop (o, a, b) -> O.Kbinop (Ir.Types.(if o = Add then Sub else Add), a, b)
+      | O.Kcmp (o, a, b) -> O.Kcmp (Ir.Types.(if o = Eq then Ne else Eq), a, b)
+      | O.Kcall (t, xs) -> O.Kcall (bump t, Array.copy xs)
+      | O.Kphi (b, xs) -> O.Kphi (bump b, Array.copy xs)
+    in
+    match arrays k with
+    | None -> oneofl [ same; lead k ]
+    | Some (mk, xs) ->
+        let n = Array.length xs in
+        oneof
+          [
+            return same;
+            return (lead k);
+            return (mk (set_at xs 0));
+            map (fun j -> mk (set_at xs j)) (int_bound (max 0 (n - 1)));
+            map (fun j -> mk (set_at xs (2 * j))) (int_bound (max 0 ((n / 2) - 1)));
+            return (mk (Array.append xs [| 0 |]));
+          ])
+
+let prop_key_equality =
+  QCheck.Test.make ~name:"the key table's equality is structural, its hash consistent"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(gen_key >>= fun a -> map (fun b -> (a, b)) (gen_variant a)))
+    (fun (a, b) -> O.Key.equal a b = (a = b) && ((a <> b) || O.Key.hash a = O.Key.hash b))
+
 let suite =
   [
     prop_generated "the oracle numbers as the reference (default profile)" 60
@@ -99,4 +172,5 @@ let suite =
     Alcotest.test_case "shipped routines and their GVN outputs" `Quick test_shipped;
     Alcotest.test_case "the rule-table skip is exact over the catalog" `Quick
       test_rule_skip_is_exact;
+    QCheck_alcotest.to_alcotest prop_key_equality;
   ]
