@@ -145,6 +145,8 @@ let pruning_conv =
 let jobs_conv =
   let parse s =
     match int_of_string_opt s with
+    | Some n when n > Par.Pool.max_domains ->
+        Error (`Msg (Printf.sprintf "JOBS must be <= %d" Par.Pool.max_domains))
     | Some n when n >= 1 -> Ok n
     | Some _ -> Error (`Msg "JOBS must be >= 1")
     | None -> Error (`Msg "expected an integer JOBS count")

@@ -57,10 +57,17 @@ let rec worker t last =
     worker t b
   end
 
+(* The runtime's domain limit, [Max_domains] in OCaml 5.1's caml/domain.h.
+   Past it [Domain.spawn] fails with the earlier spawns already parked on
+   [wake], so [create] refuses the count before spawning anything. *)
+let max_domains = if Sys.word_size = 64 then 128 else 16
+
 let create ?domains () =
   let domains =
     match domains with
     | Some n when n < 1 -> invalid_arg "Par.Pool.create: domains must be >= 1"
+    | Some n when n > max_domains ->
+        invalid_arg (Printf.sprintf "Par.Pool.create: domains must be <= %d" max_domains)
     | Some n -> n
     | None -> max 1 (Domain.recommended_domain_count ())
   in

@@ -21,12 +21,17 @@
 
 type t
 
+val max_domains : int
+(** The runtime's limit on live domains (128 on 64-bit OCaml 5.1): the
+    largest [domains] {!create} accepts. *)
+
 val create : ?domains:int -> unit -> t
 (** [domains] is the total worker count including the caller (so [n]
     domains of compute use the calling domain plus [n - 1] spawned ones);
     it defaults to {!Domain.recommended_domain_count} and is clamped to at
     least 1.
-    @raise Invalid_argument when [domains < 1] is passed explicitly. *)
+    @raise Invalid_argument when [domains < 1] or [domains > max_domains]
+    is passed explicitly; nothing is spawned then. *)
 
 val size : t -> int
 (** The total worker count (spawned domains + the caller). *)

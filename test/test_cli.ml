@@ -195,7 +195,9 @@ let test_jobs_contract () =
   Alcotest.(check int) "--jobs=3" 0 (run [ "--jobs=3"; p ]);
   Alcotest.(check int) "--jobs=0 rejected" 2 (run [ "--jobs=0"; p ]);
   Alcotest.(check int) "negative jobs rejected" 2 (run [ "--jobs=-2"; p ]);
-  Alcotest.(check int) "non-numeric jobs rejected" 2 (run [ "--jobs=many"; p ])
+  Alcotest.(check int) "non-numeric jobs rejected" 2 (run [ "--jobs=many"; p ]);
+  (* Past the runtime's domain limit: refused before any domain starts. *)
+  Alcotest.(check int) "--jobs=129 rejected" 2 (run [ "--jobs=129"; p ])
 
 let test_serve_conflicts () =
   let p = clean_mc () in

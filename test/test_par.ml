@@ -114,6 +114,11 @@ let test_pool_blocked_task () =
 let test_pool_invalid_arguments () =
   Alcotest.check_raises "domains = 0" (Invalid_argument "Par.Pool.create: domains must be >= 1")
     (fun () -> ignore (Par.Pool.create ~domains:0 ()));
+  (* Refused before any domain is spawned. *)
+  Alcotest.check_raises "domains > max_domains"
+    (Invalid_argument
+       (Printf.sprintf "Par.Pool.create: domains must be <= %d" Par.Pool.max_domains))
+    (fun () -> ignore (Par.Pool.create ~domains:(Par.Pool.max_domains + 1) ()));
   let pool = Par.Pool.create ~domains:2 () in
   Par.Pool.shutdown pool;
   Par.Pool.shutdown pool (* idempotent *);
