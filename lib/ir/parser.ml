@@ -239,8 +239,14 @@ let parse_routine st : Ast.routine =
       []
     end
     else
+      (* Reject a repeated name at its second occurrence. *)
+      let seen = Hashtbl.create 8 in
       let rec loop acc =
+        (match peek st with
+        | Lexer.IDENT p when Hashtbl.mem seen p -> err st "duplicate parameter name"
+        | _ -> ());
         let p = expect_ident st "expected parameter name" in
+        Hashtbl.replace seen p ();
         match peek st with
         | COMMA ->
             advance st;

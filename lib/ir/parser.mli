@@ -9,7 +9,8 @@ exception Error of string * int
 val parse_program : string -> Ast.routine list
 (** Parse a whole source file of one or more routines. Tokens are pulled
     from a {!Lexer.t} cursor as the parse needs them.
-    @raise Error (or {!Lexer.Error}) on malformed input. A lex error
+    @raise Error (or {!Lexer.Error}) on malformed input, including a
+    routine that names the same parameter twice. A lex error
     anywhere in the file wins over a parse error before it: on a parse
     error the rest of the file is still lexed. *)
 

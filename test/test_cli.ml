@@ -559,6 +559,18 @@ let test_diagnostic_line_col () =
     ]
     resp
 
+(* A routine that names a parameter twice is a parse error at the second
+   occurrence, in batch mode and with --run. *)
+let test_duplicate_param () =
+  let path = write_tmp "dup_param.mc" "routine g(a, a) { return a; }\n" in
+  List.iter
+    (fun args ->
+      let code, err = run_stderr (args @ [ path ]) in
+      Alcotest.(check int) "exits 2" 2 code;
+      Alcotest.(check string) "diagnostic"
+        (path ^ ":1:14: parse error: duplicate parameter name (found a)\n") err)
+    [ []; [ "--run"; "1,2" ] ]
+
 let suite =
   [
     Alcotest.test_case "exit 0 on clean runs" `Quick test_exit_clean;
@@ -597,3 +609,4 @@ let suite =
       (fun ((name, _) as set) ->
         Alcotest.test_case ("golden output: " ^ name) `Quick (test_golden set))
       golden_sets
+  @ [ Alcotest.test_case "duplicate parameter names are a parse error" `Quick test_duplicate_param ]

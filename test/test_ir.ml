@@ -143,6 +143,15 @@ let test_parser_switch_errors () =
   | exception Ir.Parser.Error _ -> ()
   | _ -> Alcotest.fail "non-constant case labels must be rejected"
 
+let test_parser_duplicate_params () =
+  (match Ir.Parser.parse_one "routine g(a, b, a) { return a; }" with
+  | exception Ir.Parser.Error (msg, off) ->
+      Alcotest.(check (pair string int))
+        "error at the second a" ("duplicate parameter name (found a)", 16) (msg, off)
+  | _ -> Alcotest.fail "duplicate parameter names must be rejected");
+  let r = Ir.Parser.parse_one "routine g(a, b) { return a; }" in
+  Alcotest.(check (list string)) "distinct names parse" [ "a"; "b" ] r.Ir.Ast.params
+
 let test_validate_catches_errors () =
   (* A phi with the wrong argument count must be rejected. *)
   let bld = Ir.Builder.create ~name:"bad" ~nparams:0 in
@@ -423,4 +432,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frontend_errors_only;
     Alcotest.test_case "validate: operand messages name the instruction" `Quick
       test_validate_operand_messages;
+    Alcotest.test_case "parser: duplicate parameter names" `Quick test_parser_duplicate_params;
   ]
