@@ -33,7 +33,11 @@
    intervals), when a refined environment is bottom (the conjunction of
    dominating guards is already absurd, so the claim is vacuous), and when
    an operand's definition does not dominate the claim site (its interval
-   does not constrain the hypothetical class value there). *)
+   does not constrain the hypothetical class value there).
+
+   Independence: the replay builds a fresh [Analysis.Ctx] of its own for
+   the input function and never reads the dominators, RPO or postdominators
+   of the engine state it judges. *)
 
 type site = Sblock of int | Svalue of int
 
@@ -77,8 +81,9 @@ let itv_str d = Fmt.str "%a" Itv.pp d
 
 let run ?ranges (st : Pgvn.State.t) : report =
   let f = st.Pgvn.State.f in
-  let res = match ranges with Some r -> r | None -> Ranges.run f in
-  let dom = Analysis.Dom.compute (Analysis.Graph.of_func f) in
+  let ctx = Analysis.Ctx.create f in
+  let res = match ranges with Some r -> r | None -> Ranges.run ~ctx f in
+  let dom = Analysis.Ctx.dom ctx f in
   let contras = ref [] in
   let flag site claim refutation =
     contras := { site; claim; refutation } :: !contras

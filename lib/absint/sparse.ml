@@ -79,7 +79,9 @@ module Make (D : Domain.TRANSFER) = struct
      this is a safety fuse, not a tuning knob. *)
   let fuse = 64
 
-  let run ?obs ?(refine = true) (f : Ir.Func.t) : result =
+  (* [?ctx] supplies the routine's dominators and loop forest (for the
+     refinement facts and the widening points); a fresh context otherwise. *)
+  let run ?obs ?(refine = true) ?ctx (f : Ir.Func.t) : result =
     Obs.span_o obs ~cat:"absint" ("absint." ^ D.name ^ ".fixpoint")
     @@ fun () ->
     let t_begin = match obs with Some o -> Obs.clock o | None -> 0.0 in
@@ -88,14 +90,15 @@ module Make (D : Domain.TRANSFER) = struct
     let facts = Array.make ni D.bottom in
     let edge_exec = Array.make (Ir.Func.num_edges f) false in
     let block_exec = Array.make (Ir.Func.num_blocks f) false in
-    let refinement = if refine then Some (Pred.Facts.compute f) else None in
+    let ctx = Analysis.Ctx.get ?ctx f in
+    let refinement = if refine then Some (Pred.Facts.compute ~ctx f) else None in
     let widen_at = Array.make (Ir.Func.num_blocks f) false in
     (* Widen at every retreating-edge target: natural-loop headers plus the
        targets of irreducible retreating edges, which head a cycle even
        though they head no natural loop. *)
     List.iter
       (fun h -> widen_at.(h) <- true)
-      (Analysis.Loops.widen_blocks (Analysis.Loops.forest (Analysis.Graph.of_func f)));
+      (Analysis.Loops.widen_blocks (Analysis.Ctx.loops ctx f));
     let bumps = Array.make ni 0 in
     let def_use = Ir.Func.def_use f in
     let ssa_work = Queue.create () in

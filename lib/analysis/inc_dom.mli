@@ -17,7 +17,6 @@ val idom : t -> int -> int
 (** -1 for the entry and for unreachable nodes. *)
 
 val depth : t -> int -> int
-val nca : t -> int -> int -> int
 
 val dominates : t -> int -> int -> bool
 (** Over the current reachable subgraph; reflexive. *)

@@ -23,8 +23,8 @@ type forest = {
   irreducible : (int * int) list; (* retreating edges that form no natural loop *)
 }
 
-let forest ?dom (g : Graph.t) : forest =
-  let rpo = Rpo.compute g in
+let forest ?rpo ?dom (g : Graph.t) : forest =
+  let rpo = match rpo with Some r -> r | None -> Rpo.compute g in
   let dom = match dom with Some d -> d | None -> Dom.compute ~rpo g in
   let n = g.n in
   (* Group back-edge tails by header; split off irreducible retreating

@@ -23,9 +23,9 @@ type forest = {
       (** retreating (src, dst) edges that form no natural loop *)
 }
 
-val forest : ?dom:Dom.t -> Graph.t -> forest
-(** The loop-nesting forest of the reachable part of the graph. [?dom] lets
-    a caller that already computed dominators share them. *)
+val forest : ?rpo:Rpo.t -> ?dom:Dom.t -> Graph.t -> forest
+(** The loop-nesting forest of the reachable part of the graph. [?rpo] and
+    [?dom] let a caller that already computed them share them. *)
 
 val depth_at : forest -> int -> int
 (** Loop depth of a block: number of natural loops containing it. *)

@@ -117,5 +117,3 @@ let run (f : Ir.Func.t) : int array =
     done
   done;
   cls
-
-let congruent result v w = result.(v) >= 0 && result.(v) = result.(w)

@@ -7,5 +7,3 @@
 
 val run : Ir.Func.t -> int array
 (** Class id per value (-1 for non-values); congruent iff equal. *)
-
-val congruent : int array -> Ir.Func.value -> Ir.Func.value -> bool

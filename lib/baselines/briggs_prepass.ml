@@ -40,8 +40,8 @@ let facts_of (f : Ir.Func.t) (dom : Analysis.Dom.t) =
 
 (* Rewrite dominated uses. Returns the transformed function. *)
 let run (f : Ir.Func.t) : Ir.Func.t =
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
+  let ctx = Analysis.Ctx.create f in
+  let dom = Analysis.Ctx.dom ctx f in
   let facts = facts_of f dom in
   if Hashtbl.length facts = 0 then f
   else begin
@@ -73,7 +73,7 @@ let run (f : Ir.Func.t) : Ir.Func.t =
           if value_map.(v) < 0 then invalid_arg "Briggs_prepass: unresolved value";
           value_map.(v)
     in
-    let rpo = Analysis.Rpo.compute g in
+    let rpo = Analysis.Ctx.rpo ctx f in
     let phis = ref [] in
     Array.iter
       (fun b ->

@@ -52,8 +52,7 @@ type result = { rep : rep array (* per value; [Rval v] itself when unique *) }
 
 let run (f : Ir.Func.t) : result =
   let ni = Ir.Func.num_instrs f in
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
+  let dom = Analysis.Ctx.dom (Analysis.Ctx.create f) f in
   let out = Array.make ni (Rval (-1)) in
   let known = Array.make ni false in
   let arena = HK.create ~size:64 () in

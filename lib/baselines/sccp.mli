@@ -5,9 +5,6 @@
 
 type lattice = Top | Const of int | Bottom
 
-val meet : lattice -> lattice -> lattice
-val equal_lattice : lattice -> lattice -> bool
-
 type result = {
   value : lattice array;
   edge_executable : bool array;

@@ -45,8 +45,7 @@ let key_of (f : Ir.Func.t) (vn : int array) v : [ `Key of Hashkey.t | `Copy of i
 
 (* Values in instruction order of an RPO block traversal. *)
 let values_in_rpo f =
-  let g = Analysis.Graph.of_func f in
-  let rpo = Analysis.Rpo.compute g in
+  let rpo = Analysis.Ctx.rpo (Analysis.Ctx.create f) f in
   let out = ref [] in
   Array.iter
     (fun b ->

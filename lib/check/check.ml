@@ -23,12 +23,10 @@ let run_all ?(lint = false) (f : Ir.Func.t) : Diagnostic.t list =
     if has_errors ssa then cfg @ ssa
     else cfg @ ssa @ Type_check.run f @ (if lint then Lint.run f else [])
 
-let first_error f = List.nth_opt (errors (run_all f)) 0
-
 let check_exn (f : Ir.Func.t) : Ir.Func.t =
-  match first_error f with
-  | None -> f
-  | Some d -> failwith (Fmt.str "%s: %a" f.Ir.Func.name Diagnostic.pp d)
+  match errors (run_all f) with
+  | [] -> f
+  | d :: _ -> failwith (Fmt.str "%s: %a" f.Ir.Func.name Diagnostic.pp d)
 
 let pp_report ppf (name, ds) =
   match ds with

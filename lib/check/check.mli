@@ -37,9 +37,6 @@ val has_errors : Diagnostic.t list -> bool
 val sort : Diagnostic.t list -> Diagnostic.t list
 (** Stable report order: severity, then check id, then location. *)
 
-val first_error : Ir.Func.t -> Diagnostic.t option
-(** [run_all] without lints, returning the first error if any. *)
-
 val check_exn : Ir.Func.t -> Ir.Func.t
 (** Returns its argument. @raise Failure rendering the first
     [Error]-severity diagnostic, if any. *)

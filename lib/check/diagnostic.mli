@@ -26,7 +26,5 @@ val is_error : t -> bool
 val compare : t -> t -> int
 (** Errors before warnings before infos; then check id, then location. *)
 
-val string_of_severity : severity -> string
-val pp_loc : Format.formatter -> loc -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

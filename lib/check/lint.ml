@@ -24,8 +24,8 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
   let add d = diags := d :: !diags in
   let ni = num_instrs f in
   (* Unreachable blocks. *)
-  let g = Analysis.Graph.of_func f in
-  let reach = Analysis.Graph.reachable g in
+  let ctx = Analysis.Ctx.create f in
+  let reach = Analysis.Graph.reachable (Analysis.Ctx.graph ctx f) in
   Array.iteri
     (fun b r ->
       if not r then
@@ -114,7 +114,7 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
   (* ------------------------------------------------------------------ *)
   (* Semantic sub-tier: one sparse interval analysis (with branch
      refinement and loop widening) feeds the remaining lints.            *)
-  let res = Absint.Ranges.run f in
+  let res = Absint.Ranges.run ~ctx f in
   let exec b = res.Absint.Ranges.block_exec.(b) in
   let env b v = Absint.Ranges.env_at res b v in
   (* Guaranteed division/remainder faults: executing the instruction always
@@ -195,7 +195,7 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
      the bare CFG and one-value interval refinement miss — x < y together
      with y < x, or x > 2 with x ≠ 3 deciding x > 3.                     *)
   let pfacts = Absint.Ranges.branch_facts res in
-  let dom = Analysis.Dom.compute g in
+  let dom = Analysis.Ctx.dom ctx f in
   let contra b = Pred.Closure.contradictory (Pred.Facts.closure_at_block pfacts b) in
   (* Contradictory path conditions: the guards on the dominator path to a
      block are jointly unsatisfiable, so the block can never execute.

@@ -42,16 +42,16 @@ let run ?placement (f : Ir.Func.t) : Diagnostic.t list =
         "placement has %d entries for %d instructions" (Array.length place) ni;
     ]
   else begin
-    let g = Analysis.Graph.of_func f in
-    let dom = Analysis.Dom.compute g in
-    let forest = Analysis.Loops.forest ~dom g in
+    let ctx = Analysis.Ctx.create f in
+    let dom = Analysis.Ctx.dom ctx f in
+    let forest = Analysis.Ctx.loops ctx f in
     (* Both fact sources are only needed when a faulting op actually moved.
        A destination clears a division if its refined intervals do, or if
        the multi-fact implication closure over its dominating branch facts
        does — guard conjunctions like [d != 0 && d != -1] are invisible to
        intervals. Both come from one interval run, recomputed here from
        first principles. *)
-    let ranges = lazy (Absint.Ranges.run f) in
+    let ranges = lazy (Absint.Ranges.run ~ctx f) in
     let cleared_at b v =
       match Ir.Func.instr f v with
       | Ir.Func.Binop ((Ir.Types.Div | Ir.Types.Rem), n, d) ->

@@ -1,7 +1,8 @@
 (** Schedule-legality verifier: certifies a proposed per-value block
     assignment against SSA dominance, φ anchoring, speculation safety and
     loop depth. Independent of [lib/schedule] — it recomputes dominators,
-    the loop forest and the interval facts from first principles, so the
+    the loop forest and the interval facts from first principles, over a
+    fresh {!Analysis.Ctx.t} of its own (never the placement's), so the
     placement analysis and its checker share no conclusions.
 
     Check ids, all [Error] severity, pinned by the test suite:

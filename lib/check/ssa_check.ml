@@ -83,8 +83,7 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
     else true
   in
   (* Dominance. *)
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
+  let dom = Analysis.Ctx.dom (Analysis.Ctx.create f) f in
   let pos = Array.make ni 0 in
   for b = 0 to num_blocks f - 1 do
     Array.iteri (fun k i -> if i >= 0 && i < ni then pos.(i) <- k) (block f b).instrs

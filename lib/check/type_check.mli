@@ -8,10 +8,4 @@
 
 type ty = Bot | Bool | Int
 
-val join : ty -> ty -> ty
-
-val infer : Ir.Func.t -> ty array
-(** Per-value refinement type; terminators (which define no value) get
-    [Bot]. *)
-
 val run : Ir.Func.t -> Diagnostic.t list

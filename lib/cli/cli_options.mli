@@ -11,8 +11,6 @@ val preset_names : string list
     click, sccp, awz. *)
 
 val preset_of_string : string -> (Pgvn.Config.t, string) result
-val preset_doc : string
-(** Comma-separated [preset_names], for [--help] strings. *)
 
 (** {1 Per-analysis toggles (the [--no-*] flags and [--complete])} *)
 
@@ -38,8 +36,6 @@ type obs_opts = {
   trace_file : string option;  (** [--trace=FILE]: Chrome-trace JSON sink *)
   metrics : bool;  (** [--metrics]: print the metrics snapshot on exit *)
 }
-
-val no_obs : obs_opts
 
 val parse_obs_args : string list -> obs_opts * string list
 (** Strip [--trace=FILE], [--trace FILE] and [--metrics] from an argument

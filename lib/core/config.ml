@@ -109,8 +109,3 @@ let emulate_sccp = { basic with sccp_only = true }
    only. Matches the independent [Baselines.Sccp] implementation exactly;
    used for cross-validation. *)
 let emulate_sccp_exact = { emulate_sccp with algebraic_simplification = false }
-
-let mode_to_string = function
-  | Optimistic -> "optimistic"
-  | Balanced -> "balanced"
-  | Pessimistic -> "pessimistic"

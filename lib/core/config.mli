@@ -71,5 +71,3 @@ val emulate_sccp : t
 val emulate_sccp_exact : t
 (** Bit-exact Wegman–Zadeck (constant folding and reachability only);
     matches the independent [Baselines.Sccp] implementation. *)
-
-val mode_to_string : mode -> string

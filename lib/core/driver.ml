@@ -17,7 +17,7 @@ open State
 let idom_of st b =
   match st.config.Config.variant with
   | Config.Complete -> Analysis.Inc_dom.idom st.inc_dom b
-  | Config.Practical -> st.dom.Analysis.Dom.idom.(b)
+  | Config.Practical -> (State.dom st).Analysis.Dom.idom.(b)
 
 (* What [controlling_edge] returns when the walk continues at the
    immediate dominator, and when it stops. *)
@@ -880,7 +880,7 @@ let mark_everything_reachable st =
               ignore (Analysis.Inc_dom.insert_edge st.inc_dom ~src ~dst)
           end)
         (Ir.Func.block st.f b).Ir.Func.succs)
-    st.rpo.Analysis.Rpo.order
+    (State.rpo st).Analysis.Rpo.order
 
 let touch_everything st =
   for b = 0 to Ir.Func.num_blocks st.f - 1 do
@@ -997,7 +997,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
       | None -> None
     in
     let pass_changed = ref false in
-    let nb = Array.length st.rpo.Analysis.Rpo.order in
+    let nb = Array.length (State.rpo st).Analysis.Rpo.order in
     let bi = ref 0 in
     while !bi < nb && has_work st do
       let b = visit_block st !bi in

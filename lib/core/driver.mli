@@ -64,25 +64,7 @@ val eval_operand : State.t -> int -> Ir.Func.value -> Hexpr.t option
 (** The leader atom of an operand with value inference applied at the given
     block (Figure 7); [None] while the operand is ⊥. *)
 
-val infer_predicate : State.t -> int -> Hexpr.t -> Hexpr.t
-(** Figure 7's [Infer value of predicate]. *)
-
 val branch_predicates : State.t -> int -> Hexpr.t option -> Hexpr.t option * Hexpr.t option
 (** The predicates of the true and false edges of a branch at the given
     block on the given condition atom, re-evaluated over current leaders
     and inferred in one walk; [None] where unknown or constant. *)
-
-val symbolic_eval : State.t -> int -> Ir.Func.value -> Ir.Func.instr -> Hexpr.t option
-(** Figure 4's [Perform symbolic evaluation]; [None] = ⊥. *)
-
-val congruence_finding : State.t -> Ir.Func.value -> Hexpr.t option -> bool
-(** Figure 4's [Perform congruence finding]; true when anything changed. *)
-
-val process_outgoing_edges : State.t -> int -> bool
-(** Figure 5; true when reachability or an edge predicate changed. *)
-
-val mark_everything_reachable : State.t -> unit
-(** Pessimistic / no-UCE initialization. *)
-
-val touch_everything : State.t -> unit
-(** Dense-formulation re-application. *)

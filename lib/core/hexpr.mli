@@ -108,8 +108,6 @@ val mul_terms : (int -> int) -> term list -> term list -> term list
 val size_of_terms : term list -> int
 (** Operand count, bounded by the forward-propagation limit (§2.2 fn. 4). *)
 
-val sort_factors : (int -> int) -> int list -> int list
-
 val of_terms : arena -> term list -> t
 (** Reduce to the simplest form: [Const 0], a constant, a bare value, or a
     [Sum]. *)
@@ -122,9 +120,6 @@ val terms_of_atom : t -> term list
 val is_atom : t -> bool
 (** [Const] or [Value]. *)
 
-val atom_rank : (int -> int) -> t -> int * int
-(** Sort key placing constants before values, values by rank. *)
-
 val cmp_atoms : arena -> (int -> int) -> Ir.Types.cmp -> t -> t -> t
 (** Canonical comparison: folds constants and identical operands, orders
     operands by increasing rank (flipping the operator on swap, §2.8). *)
@@ -133,7 +128,6 @@ val negate_pred : arena -> t -> t
 (** The complement of a predicate; closed on comparisons. *)
 
 val is_predicate : t -> bool
-val op_commutative : opsym -> bool
 
 val make_op : arena -> (int -> int) -> opsym -> t list -> t
 (** An [Op] node, sorting the operands when the operator is commutative. *)

@@ -88,14 +88,6 @@ let interval_implies fact query : verdict =
   | At_least a, Exactly b -> if b < a then False else Unknown
   | At_least a, Not b -> if b < a then True else Unknown
 
-(* Normalize a comparison so the value is on the left: [(op, x, y)] means
-   "x op y"; if the constant is on the left, flip. Returns
-   (value atom, op, constant). [const] recognises constant atoms. *)
-let value_vs_const ~const (op, x, y) =
-  match const x with
-  | Some c -> Some (y, Ir.Types.swap_cmp op, c)
-  | None -> ( match const y with Some c -> Some (x, op, c) | None -> None)
-
 (* [decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb]: assuming fact
    [fa fop fb] holds, the truth of query [qa qop qb]. Comparisons come as
    scalar arguments — not tuples — because this runs once per dominating
@@ -143,7 +135,7 @@ let decide ~same ~const ~fop ~fa ~fb ~qop ~qa ~qb : verdict =
   if table <> Unknown then table
   else
     (* Both sides normalized value-vs-constant, without building tuples:
-       the constant side is flipped to the right (cf. [value_vs_const]). *)
+       the constant side is flipped to the right. *)
     match const fa with
     | Some fc -> decide_vc ~same ~const ~qop ~qa ~qb fb (Ir.Types.swap_cmp fop) fc
     | None -> (

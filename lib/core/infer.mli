@@ -20,24 +20,6 @@ val fault : unit -> (verdict -> verdict) option
 val same_operands_table : Ir.Types.cmp -> Ir.Types.cmp -> verdict
 (** Given [a OP b], decide [a OP' b]. *)
 
-type interval = Exactly of int | Not of int | At_most of int | At_least of int | Never
-
-val interval_of : op:Ir.Types.cmp -> c:int -> interval
-(** Solution set of [x op c] over the machine integers — trap-aware at the
-    domain edges: [x < min_int] / [x > max_int] are {!Never} rather than a
-    wrapped full-domain bound, and [x ≤ min_int] / [x ≥ max_int] pin the
-    value exactly. *)
-
-val interval_implies : interval -> interval -> verdict
-(** Given x ∈ fact, is x ∈ query? *)
-
-val value_vs_const :
-  const:('a -> int option) ->
-  Ir.Types.cmp * 'a * 'a ->
-  ('a * Ir.Types.cmp * int) option
-(** Normalize a comparison with one constant side to (value, op, constant);
-    [const] recognises constant atoms. *)
-
 val decide :
   same:('a -> 'a -> bool) ->
   const:('a -> int option) ->

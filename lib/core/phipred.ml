@@ -85,8 +85,8 @@ let rec partial ctx b (pp : Hexpr.t option) ~ignore_incoming =
   if b <> ctx.b0 then begin
     (* Diamond shortcut: when [b] dominates its immediate postdominator,
        the interior cannot affect B0's predicate. *)
-    let d = Analysis.Postdom.ipdom st.State.pdom b in
-    if d >= 0 && d <> ctx.b0 && Analysis.Dom.dominates st.State.dom b d then
+    let d = Analysis.Postdom.ipdom (State.pdom st) b in
+    if d >= 0 && d <> ctx.b0 && Analysis.Dom.dominates (State.dom st) b d then
       descend ctx d st.State.partial_pred.(b) ~ignore_incoming:true
     else begin
       let n_out = reachable_out_count st b in
@@ -118,10 +118,10 @@ let compute_block_predicate (st : State.t) b0 =
   let d0 =
     match st.State.config.Config.variant with
     | Config.Complete -> Analysis.Inc_dom.idom st.State.inc_dom b0
-    | Config.Practical -> st.State.dom.Analysis.Dom.idom.(b0)
+    | Config.Practical -> (State.dom st).Analysis.Dom.idom.(b0)
   in
   if d0 < 0 then false
-  else if not (Analysis.Postdom.postdominates st.State.pdom b0 d0) then false
+  else if not (Analysis.Postdom.postdominates (State.pdom st) b0 d0) then false
   else begin
     let ctx = { st; b0; d0; initialized = []; canonical_rev = [] } in
     let result =

@@ -70,7 +70,4 @@ val record_pred_inference :
   t -> block:int -> op:Ir.Types.cmp -> a:atom -> b:atom -> verdict:bool -> unit
 (** Record a closure-decided query and bump the decided counters. *)
 
-val value_inference_per_instr : t -> float
-val predicate_inference_per_instr : t -> float
-val phi_predication_per_instr : t -> float
 val pp : Format.formatter -> t -> unit

@@ -85,11 +85,11 @@ type t = {
   phi_scratch : Hexpr.t option array;
       (** per-edge φ-argument scratch for {!Driver}'s [eval_phi]; all [None]
           between evaluations *)
-  rpo : Analysis.Rpo.t;
+  ctx : Analysis.Ctx.t;
+      (** the function's graph, RPO, dominators and postdominators; read
+          them through {!rpo}, {!dom} and {!pdom} *)
   backward : bool array;  (** BACKWARD: RPO back edges *)
   back_in : bool array;  (** per block: some incoming edge is a back edge *)
-  dom : Analysis.Dom.t;
-  pdom : Analysis.Postdom.t;
   inc_dom : Analysis.Inc_dom.t;  (** complete variant's reachable dominator tree *)
   def_use : int array array;
   switch_default : (int * int array) option array;
@@ -105,6 +105,11 @@ type t = {
 val create : Config.t -> Ir.Func.t -> t
 (** Fresh state: all values in INITIAL with leader ⊥, nothing reachable or
     touched. *)
+
+val rpo : t -> Analysis.Rpo.t
+val dom : t -> Analysis.Dom.t
+val pdom : t -> Analysis.Postdom.t
+(** The function's analyses, through {!field-ctx}. *)
 
 val cls : t -> int -> cls
 
@@ -143,11 +148,6 @@ val end_sweep : t -> unit
 
 val has_work : t -> bool
 (** Whether anything counts as touched: a flag set, or a block pending. *)
-
-val touch_dominated_and_postdominating : t -> int -> unit
-(** The complete variant's propagation: instructions of blocks dominated by
-    the given block (reachable dominator tree), plus blocks postdominating
-    it. *)
 
 val propagate_change_in_edge : t -> int -> unit
 (** Figure 5's [Propagate change in edge], per the configured variant:

@@ -23,9 +23,5 @@ type stmt =
 
 type routine = { name : string; params : string list; body : stmt list }
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_stmts : Format.formatter -> stmt list -> unit
-
 val pp_routine : Format.formatter -> routine -> unit
 (** Prints re-parsable mini-C source. *)

@@ -37,13 +37,6 @@ let successors blk =
 
 let succ_blocks t = Array.map successors t.blocks
 
-let pred_blocks t =
-  let preds = Array.make (num_blocks t) [] in
-  Array.iteri
-    (fun b blk -> Array.iter (fun d -> preds.(d) <- b :: preds.(d)) (successors blk))
-    t.blocks;
-  Array.map (fun l -> Array.of_list (List.rev l)) preds
-
 let def_of_rinstr = function
   | Iconst (d, _) | Imov (d, _) | Iunop (d, _, _) | Ibinop (d, _, _, _) | Icmp (d, _, _, _)
   | Iopaque (d, _, _) ->

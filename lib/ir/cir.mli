@@ -27,9 +27,7 @@ type t = { name : string; nparams : int; nregs : int; blocks : block array }
 
 val entry : int
 val num_blocks : t -> int
-val successors : block -> int array
 val succ_blocks : t -> int array array
-val pred_blocks : t -> int array array
 val def_of_rinstr : rinstr -> reg
 val iter_uses_rinstr : (reg -> unit) -> rinstr -> unit
 val iter_uses_term : (reg -> unit) -> term -> unit
@@ -41,5 +39,4 @@ val run : ?fuel:int -> t -> int array -> Interp.result
 (** Register-level reference interpreter; SSA construction must preserve
     this semantics exactly. *)
 
-val pp_rinstr : Format.formatter -> rinstr -> unit
 val pp : Format.formatter -> t -> unit

@@ -104,9 +104,6 @@ let def_use f =
 let succ_blocks f =
   Array.map (fun b -> Array.map (fun e -> f.edges.(e).dst) b.succs) f.blocks
 
-let pred_blocks f =
-  Array.map (fun b -> Array.map (fun e -> f.edges.(e).src) b.preds) f.blocks
-
 let phis_of_block f b =
   let instrs = f.blocks.(b).instrs in
   let rec count i =

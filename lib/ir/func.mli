@@ -87,8 +87,6 @@ val def_use : t -> int array array
 val succ_blocks : t -> int array array
 (** Per-block successor block ids (the CFG view used by {!Analysis.Graph}). *)
 
-val pred_blocks : t -> int array array
-
 val phis_of_block : t -> int -> int array
 (** The φ instructions at the head of a block. *)
 

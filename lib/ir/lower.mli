@@ -3,8 +3,5 @@
     cases do not fall through; statements after a terminator are pruned as
     unreachable; routines without a final return get [return 0]. *)
 
-val tag_of_name : string -> int
-(** The stable opaque tag of a called function name. *)
-
 val lower_routine : Ast.routine -> Cir.t
 (** @raise Failure on [break]/[continue] outside a loop. *)

@@ -141,10 +141,6 @@ let formatted add ppf x =
   in
   add b ~eol x
 
-let pp_value ppf v =
-  Format.pp_print_char ppf 'v';
-  Format.pp_print_int ppf v
-
 let pp_instr f ppf i =
   let b = Buffer.create 32 in
   add_instr f b i;

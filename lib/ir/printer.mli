@@ -6,8 +6,6 @@
     as [Format.pp_force_newline], so inside a caller's box a dump indents
     like any other forced break. *)
 
-val pp_value : Format.formatter -> Func.value -> unit
-
 val pp_instr : Func.t -> Format.formatter -> int -> unit
 (** One instruction, without indentation or line break. *)
 

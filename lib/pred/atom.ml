@@ -33,8 +33,6 @@ let make op a b : norm =
    fact (e.g. the false edge of [branch 1]) without a separate marker. *)
 let never = { op = Ir.Types.Ne; a = Const 0; b = Const 0 }
 
-let negate { op; a; b } = { op = Ir.Types.negate_cmp op; a; b }
-
 let equal (x : t) (y : t) = x = y
 let compare (x : t) (y : t) = Stdlib.compare x y
 

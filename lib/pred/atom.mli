@@ -17,10 +17,6 @@ val make : Ir.Types.cmp -> term -> term -> norm
 val never : t
 (** A canonically false atom ([0 ≠ 0]); assuming it contradicts. *)
 
-val negate : t -> t
-(** The complement ([negate_cmp] on the operator; order is preserved). *)
-
-val term_equal : term -> term -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

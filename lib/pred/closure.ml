@@ -308,5 +308,3 @@ let decide t op (x : Atom.term) (y : Atom.term) : verdict =
               bounds (no assumptions). *)
            let nx = node_of t x and ny = node_of t y in
            if t.contradictory then Unknown else decide_nodes t op nx ny)
-
-let size t = t.n

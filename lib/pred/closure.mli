@@ -21,9 +21,6 @@ val create : unit -> t
 val assume : t -> Atom.norm -> unit
 (** Add a fact. [Triv false] (a statically false fact) contradicts. *)
 
-val assume_atom : t -> Atom.t -> unit
-val assume_all : t -> Atom.t list -> unit
-
 val of_facts : Atom.t list -> t
 (** [create] + [assume_all]. *)
 
@@ -33,9 +30,6 @@ val decide : t -> Ir.Types.cmp -> Atom.term -> Atom.term -> verdict
 
 val contradictory : t -> bool
 (** The assumed facts are jointly unsatisfiable. *)
-
-val size : t -> int
-(** Number of interned terms (including ZERO). *)
 
 (** {1 Test-only fault injection}
 

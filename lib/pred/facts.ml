@@ -80,7 +80,7 @@ let edge_facts (f : Ir.Func.t) term (e : int) : Atom.t list =
 (* Sentinel of the per-value term memo below. *)
 let unset = Atom.Term (-1)
 
-let compute (f : Ir.Func.t) : t =
+let compute ?ctx (f : Ir.Func.t) : t =
   let nb = Array.length f.Ir.Func.blocks in
   (* One term cell per value, shared by every atom naming it: the atom
      lists live as long as the analyses reading them, so sharing shrinks
@@ -97,8 +97,7 @@ let compute (f : Ir.Func.t) : t =
     end
   in
   let edges = Array.init (Array.length f.Ir.Func.edges) (edge_facts f term) in
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
+  let dom = Analysis.Ctx.dom (Analysis.Ctx.get ?ctx f) f in
   let blocks = Array.make nb [] in
   let visited = Array.make nb false in
   let rec at_block b =

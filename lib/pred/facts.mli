@@ -7,7 +7,9 @@
 
 type t
 
-val compute : Ir.Func.t -> t
+val compute : ?ctx:Analysis.Ctx.t -> Ir.Func.t -> t
+(** [?ctx] supplies the routine's dominators; a fresh context otherwise.
+    @raise Invalid_argument when [ctx] belongs to another function. *)
 
 val term_of : Ir.Func.t -> Ir.Func.value -> Atom.term
 (** The atom term naming a value: [Const k] for constant definitions

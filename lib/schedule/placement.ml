@@ -22,10 +22,7 @@
 
 type t = {
   func : Ir.Func.t;
-  graph : Analysis.Graph.t;
-  dom : Analysis.Dom.t;
-  pdom : Analysis.Postdom.t;
-  forest : Analysis.Loops.forest;
+  ctx : Analysis.Ctx.t;
   ranges : Absint.Ranges.result;
   safety : Speculate.t array;
   early : int array;
@@ -41,28 +38,31 @@ type stats = {
   sinkable : int;
 }
 
+let dom t = Analysis.Ctx.dom t.ctx t.func
+let pdom t = Analysis.Ctx.postdom t.ctx t.func
+let forest t = Analysis.Ctx.loops t.ctx t.func
 let identity (f : Ir.Func.t) = Array.copy f.Ir.Func.instr_block
 let is_value_at f v = Ir.Func.defines_value (Ir.Func.instr f v)
 
 let movable t v =
   is_value_at t.func v
-  && Analysis.Dom.reachable t.dom (Ir.Func.block_of_instr t.func v)
+  && Analysis.Dom.reachable (dom t) (Ir.Func.block_of_instr t.func v)
   && not (Speculate.is_pinned t.safety.(v))
 
 let hoistable t v =
   movable t v
   &&
   let b = Ir.Func.block_of_instr t.func v in
-  Analysis.Dom.strictly_dominates t.dom t.best.(v) b
-  && Analysis.Loops.depth_at t.forest t.best.(v) < Analysis.Loops.depth_at t.forest b
+  Analysis.Dom.strictly_dominates (dom t) t.best.(v) b
+  && Analysis.Loops.depth_at (forest t) t.best.(v) < Analysis.Loops.depth_at (forest t) b
 
 let sinkable t v =
   movable t v
   &&
   let b = Ir.Func.block_of_instr t.func v in
-  Analysis.Dom.strictly_dominates t.dom b t.best.(v)
-  && (Analysis.Loops.depth_at t.forest t.best.(v) < Analysis.Loops.depth_at t.forest b
-     || not (Analysis.Postdom.postdominates t.pdom t.best.(v) b))
+  Analysis.Dom.strictly_dominates (dom t) b t.best.(v)
+  && (Analysis.Loops.depth_at (forest t) t.best.(v) < Analysis.Loops.depth_at (forest t) b
+     || not (Analysis.Postdom.postdominates (pdom t) t.best.(v) b))
 
 let stats t =
   let ni = Ir.Func.num_instrs t.func in
@@ -73,7 +73,7 @@ let stats t =
   and sink = ref 0 in
   for v = 0 to ni - 1 do
     if is_value_at t.func v
-       && Analysis.Dom.reachable t.dom (Ir.Func.block_of_instr t.func v)
+       && Analysis.Dom.reachable (dom t) (Ir.Func.block_of_instr t.func v)
     then begin
       incr values;
       (match t.safety.(v) with
@@ -97,11 +97,11 @@ let stats t =
 let compute ?obs (f : Ir.Func.t) : t =
   Obs.span_o obs ~cat:"schedule" "schedule.compute" @@ fun () ->
   let t0 = match obs with Some o -> Obs.clock o | None -> 0.0 in
-  let g = Analysis.Graph.of_func f in
-  let dom = Analysis.Dom.compute g in
-  let pdom = Analysis.Postdom.compute g in
-  let forest = Analysis.Loops.forest ~dom g in
-  let ranges = Absint.Ranges.run ?obs f in
+  let ctx = Analysis.Ctx.create f in
+  let dom = Analysis.Ctx.dom ctx f in
+  let pdom = Analysis.Ctx.postdom ctx f in
+  let forest = Analysis.Ctx.loops ctx f in
+  let ranges = Absint.Ranges.run ?obs ~ctx f in
   let ni = Ir.Func.num_instrs f in
   let safety =
     Array.init ni (fun v ->
@@ -233,7 +233,7 @@ let compute ?obs (f : Ir.Func.t) : t =
   done;
   let early, late, best = if !fact_upgrades > 0 then schedule () else (early, late, best) in
   let t =
-    { func = f; graph = g; dom; pdom; forest; ranges; safety; early; late; best }
+    { func = f; ctx; ranges; safety; early; late; best }
   in
   (match obs with
   | None -> ()
@@ -258,9 +258,9 @@ let lints t =
           ~loc:(Check.Diagnostic.Instr v)
           "v%d is loop-invariant: best block b%d (depth %d) vs b%d (depth %d)" v
           t.best.(v)
-          (Analysis.Loops.depth_at t.forest t.best.(v))
+          (Analysis.Loops.depth_at (forest t) t.best.(v))
           b
-          (Analysis.Loops.depth_at t.forest b)
+          (Analysis.Loops.depth_at (forest t) b)
         :: !out
     else if sinkable t v then
       out :=
@@ -277,8 +277,8 @@ let pp_fact t ppf v =
     let b = Ir.Func.block_of_instr t.func v in
     Format.fprintf ppf "early b%d best b%d late b%d depth %d->%d %a%s" t.early.(v)
       t.best.(v) t.late.(v)
-      (Analysis.Loops.depth_at t.forest b)
-      (Analysis.Loops.depth_at t.forest t.best.(v))
+      (Analysis.Loops.depth_at (forest t) b)
+      (Analysis.Loops.depth_at (forest t) t.best.(v))
       Speculate.pp t.safety.(v)
       (if hoistable t v then " [hoistable]"
        else if sinkable t v then " [sinkable]"

@@ -14,10 +14,9 @@
 
 type t = {
   func : Ir.Func.t;
-  graph : Analysis.Graph.t;
-  dom : Analysis.Dom.t;
-  pdom : Analysis.Postdom.t;
-  forest : Analysis.Loops.forest;
+  ctx : Analysis.Ctx.t;
+      (** [func]'s graph, dominators, postdominators and loop forest; the
+          interval facts in [ranges] were computed over the same context *)
   ranges : Absint.Ranges.result;
   safety : Speculate.t array;  (** per instruction id *)
   early : int array;  (** per instruction id; own block for non-values *)
@@ -35,8 +34,13 @@ type stats = {
 
 val compute : ?obs:Obs.t -> Ir.Func.t -> t
 (** Runs the underlying analyses (dominators, postdominators, loop forest,
-    interval facts) and both schedules. Emits a [schedule.compute] span and
+    interval facts, all over one {!Analysis.Ctx.t}) and both schedules. Emits a [schedule.compute] span and
     [schedule.*] counters when [obs] is given. *)
+
+val dom : t -> Analysis.Dom.t
+val pdom : t -> Analysis.Postdom.t
+val forest : t -> Analysis.Loops.forest
+(** [func]'s analyses, through [ctx]. *)
 
 val identity : Ir.Func.t -> int array
 (** Every value at its current block — the placement the checker certifies

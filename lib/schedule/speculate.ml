@@ -8,8 +8,9 @@
    join over all executable paths, valid wherever the operand definitions
    dominate. Refined facts ([env_at]) embed dominating branch constraints
    (e.g. the [d <> 0] guard itself) and would wrongly license hoisting a
-   division above the very guard that protects it; they are only used by
-   [cleared_at], which asks about evaluating the op at one specific block. *)
+   division above the very guard that protects it; only the legality
+   checker ([Check.Schedule]) reads them, to ask about evaluating the op at
+   one specific block. *)
 
 type reason = May_trap of { predicate : int option } | Call | Anchored
 type t = Safe | Proven of string | Pinned of reason
@@ -58,11 +59,11 @@ let classify (f : Ir.Func.t) ~dom ~pdom ~(ranges : Absint.Ranges.result) v =
       Pinned Anchored
 
 (* Dominating-fact clearing: do the branch facts holding on entry to
-   [block] prove the division cannot fault? Same soundness shape as
-   [cleared_at] — the facts embed [block]'s dominating guards, so they are
-   valid at [block] and (values being immutable) at every block it
-   dominates — but decided by the multi-fact implication closure instead
-   of one refined interval, so a guard conjunction like
+   [block] prove the division cannot fault? The facts embed [block]'s
+   dominating guards, so they are valid at [block] and (values being
+   immutable) at every block it dominates. The multi-fact implication
+   closure decides them, not one refined interval, so a guard conjunction
+   like
    [d != 0 && d != -1] clears a division no single interval fact can. *)
 let cleared_by_facts (facts : Pred.Facts.t) (f : Ir.Func.t) ~block v =
   match Ir.Func.instr f v with
@@ -72,14 +73,6 @@ let cleared_by_facts (facts : Pred.Facts.t) (f : Ir.Func.t) ~block v =
       let dt = Pred.Facts.term_of f d and nt = Pred.Facts.term_of f n in
       proves Ir.Types.Ne dt 0
       && (proves Ir.Types.Ne dt (-1) || proves Ir.Types.Ne nt min_int)
-  | _ -> true
-
-let cleared_at (ranges : Absint.Ranges.result) (f : Ir.Func.t) ~block v =
-  match Ir.Func.instr f v with
-  | Ir.Func.Binop ((Ir.Types.Div | Ir.Types.Rem), n, d) ->
-      div_cleared
-        ~num:(Absint.Ranges.env_at ranges block n)
-        ~den:(Absint.Ranges.env_at ranges block d)
   | _ -> true
 
 let pp ppf = function

@@ -34,14 +34,6 @@ val classify :
 
 val is_pinned : t -> bool
 
-val cleared_at : Absint.Ranges.result -> Ir.Func.t -> block:int -> Ir.Func.value -> bool
-(** For a potentially faulting instruction: do the interval facts, refined
-    by the branch predicates holding on entry to [block], prove it cannot
-    fault {e there}? Refined facts embed dominating-guard constraints, so
-    this is only sound for evaluating the op at [block] itself — the
-    legality checker's question, not the placement analysis's. Non-faulting
-    instructions are trivially cleared. *)
-
 val cleared_by_facts : Pred.Facts.t -> Ir.Func.t -> block:int -> Ir.Func.value -> bool
 (** For a potentially faulting instruction: do the dominating branch facts
     on entry to [block], combined by the multi-fact implication closure,
@@ -50,11 +42,5 @@ val cleared_by_facts : Pred.Facts.t -> Ir.Func.t -> block:int -> Ir.Func.value -
     it dominates. Strictly stronger than {!cleared_at} on guard
     conjunctions intervals cannot express (e.g. [d != 0 && d != -1]).
     Non-faulting instructions are trivially cleared. *)
-
-val controlling_predicate :
-  Ir.Func.t -> dom:Analysis.Dom.t -> pdom:Analysis.Postdom.t -> int -> int option
-(** The nearest strict dominator of a block whose terminator branches and
-    which the block does not postdominate — the predicate guarding the
-    block's execution, in the predicated-reachability sense of the paper. *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,9 +5,6 @@
 
 type metrics = { unreachable : int; constants : int; classes : int }
 
-val of_summary : Pgvn.Driver.summary -> metrics
-val measure : Pgvn.Config.t -> Ir.Func.t -> metrics
-
 type comparison = {
   unreachable : Histogram.t;
   constants : Histogram.t;

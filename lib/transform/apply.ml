@@ -9,7 +9,8 @@ type rewrite =
   | Use_const of int
   | Use_value of int (* old value id whose new copy should be used *)
 
-let plan_rewrites (st : Pgvn.State.t) (f : Ir.Func.t) (dom : Analysis.Dom.t) =
+let plan_rewrites (st : Pgvn.State.t) =
+  let f = st.Pgvn.State.f and dom = Pgvn.State.dom st in
   let n = Ir.Func.num_instrs f in
   let pos = Array.make n 0 in
   for b = 0 to Ir.Func.num_blocks f - 1 do
@@ -42,7 +43,7 @@ let rebuild_witnessed (st : Pgvn.State.t) (f : Ir.Func.t) :
     invalid_arg "Apply.rebuild: the function is not the one the GVN state analyzed";
   let witnesses = ref [] in
   let witness w = witnesses := w :: !witnesses in
-  let rewrites = plan_rewrites st f st.Pgvn.State.dom in
+  let rewrites = plan_rewrites st in
   let nb = Ir.Func.num_blocks f in
   let bld = Ir.Builder.create ~name:f.Ir.Func.name ~nparams:f.Ir.Func.nparams in
   (* New block ids for reachable blocks, in original order (entry stays 0). *)
@@ -130,7 +131,7 @@ let rebuild_witnessed (st : Pgvn.State.t) (f : Ir.Func.t) :
      always emitted before the instructions that resolve them. *)
   Array.iter
     (fun b -> if block_map.(b) >= 0 then emit_block b)
-    st.Pgvn.State.rpo.Analysis.Rpo.order;
+    (Pgvn.State.rpo st).Analysis.Rpo.order;
   (* Terminators: create edges (only reachable ones), remembering the new
      edge id that corresponds to each old reachable edge. *)
   let edge_map = Array.make (Ir.Func.num_edges f) (-1) in

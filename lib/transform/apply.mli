@@ -4,11 +4,6 @@
     computations replaced by their class leader when the leader's
     definition dominates them. *)
 
-type rewrite = Keep | Use_const of int | Use_value of int
-
-val plan_rewrites : Pgvn.State.t -> Ir.Func.t -> Analysis.Dom.t -> rewrite array
-(** The per-value rewrite decision (exposed for inspection and tests). *)
-
 val rebuild : Pgvn.State.t -> Ir.Func.t -> Ir.Func.t
 (** Rebuild under the analysis' facts. The result is validated; semantics
     are preserved on every execution. *)

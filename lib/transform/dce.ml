@@ -34,8 +34,7 @@ let run (f : Ir.Func.t) : Ir.Func.t =
     let value_map = Array.make (Ir.Func.num_instrs f) (-1) in
     let resolve v = value_map.(v) in
     let phis = ref [] in
-    let g = Analysis.Graph.of_func f in
-    let rpo = Analysis.Rpo.compute g in
+    let rpo = Analysis.Ctx.rpo (Analysis.Ctx.create f) f in
     (* Phis are created for every block first (their arguments are wired
        after all definitions exist, so back edges are no problem). *)
     Array.iter

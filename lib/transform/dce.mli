@@ -2,5 +2,4 @@
     calls model pure unknown functions), so an instruction is live only if
     a terminator transitively depends on it. *)
 
-val live_set : Ir.Func.t -> bool array
 val run : Ir.Func.t -> Ir.Func.t

@@ -148,7 +148,7 @@ let apply ?obs (p : plan) : Ir.Func.t =
     if Ir.Func.defines_value ins && not (Ir.Func.is_phi ins) then
       assigned.(p.target.(v)) <- v :: assigned.(p.target.(v))
   done;
-  let rpo = Analysis.Rpo.compute (Analysis.Graph.of_func f) in
+  let rpo = Analysis.Ctx.rpo p.placement.Schedule.Placement.ctx f in
   Array.iter
     (fun b -> List.iter force assigned.(b))
     rpo.Analysis.Rpo.order;

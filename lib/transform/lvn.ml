@@ -109,8 +109,7 @@ let run (f : Ir.Func.t) : Ir.Func.t =
         if value_map.(v) < 0 then invalid_arg "Lvn.run: unresolved value";
         value_map.(v)
   in
-  let g = Analysis.Graph.of_func f in
-  let rpo = Analysis.Rpo.compute g in
+  let rpo = Analysis.Ctx.rpo (Analysis.Ctx.create f) f in
   let phis = ref [] in
   Array.iter
     (fun b ->

@@ -100,9 +100,6 @@ exception
     planned placement is refuted by {!Check.Schedule} before the rewrite
     ([pass] is e.g. "gcm#1", [diagnostics] the pinned [sched-*] errors). *)
 
-val analysis_pass : Ir.Func.t -> Ir.Func.t
-(** Recompute the standard analyses (identity on the function). *)
-
 (** Pass descriptors: what {!run_list} runs. A pass is a named transform
     plus an optional certifier; the runner times it (one Obs span per
     instance), guards it under [Options.check], certifies it, and
@@ -152,9 +149,6 @@ module Pass : sig
       raises {!Certification_failed}), rebuild; records [ctx.gcm_plan].
       Its certifier re-verifies the {e output}'s identity schedule. *)
 end
-
-val standard_round : int -> Pass.t list
-(** One round of the classic lineup, display names suffixed "#round". *)
 
 val standard_passes : ?rounds:int -> ?gcm:bool -> unit -> Pass.t list
 (** [rounds] (default 2) rounds of {!standard_round}, plus a final GCM

@@ -5,8 +5,8 @@
 
 let run (f : Ir.Func.t) : Ir.Func.t =
   let nb = Ir.Func.num_blocks f in
-  let g = Analysis.Graph.of_func f in
-  let reach = Analysis.Graph.reachable g in
+  let ctx = Analysis.Ctx.create f in
+  let reach = Analysis.Graph.reachable (Analysis.Ctx.graph ctx f) in
   (* [next.(b)] = the unique successor merged into [b]'s chain. *)
   let next = Array.make nb (-1) in
   let merged = Array.make nb false in
@@ -89,7 +89,7 @@ let run (f : Ir.Func.t) : Ir.Func.t =
       in
       emit head ~is_head:true
     in
-    let rpo = Analysis.Rpo.compute g in
+    let rpo = Analysis.Ctx.rpo ctx f in
     (* Pre-create head φs in RPO before emitting bodies? φs are created
        during emission; interior non-φ operands may reference a φ of a later
        chain through a back edge only via φ args (wired last), so plain RPO

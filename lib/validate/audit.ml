@@ -43,7 +43,7 @@ let pp_args ppf args = Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ",") int) args
 let run ?runs ?seed ?(fuel = 300_000) ~pass (f : Ir.Func.t)
     (witnesses : Witness.t list) : report =
   let oracle = Oracle.run f in
-  let dom = Analysis.Dom.compute (Analysis.Graph.of_func f) in
+  let dom = Analysis.Ctx.dom (Analysis.Ctx.create f) f in
   let ni = Ir.Func.num_instrs f in
   let pos = Array.make ni 0 in
   for b = 0 to Ir.Func.num_blocks f - 1 do

@@ -1,7 +1,9 @@
 (** Engine 1: the witness audit. Every rewrite witness is replayed against
     the independent {!Oracle} partition; claims the oracle cannot justify
     are attacked concretely at the program point where they are made, on
-    the instrumented interpreter over the {!Inputs} battery. *)
+    the instrumented interpreter over the {!Inputs} battery. The dominance
+    side conditions read a fresh {!Analysis.Ctx.t} built here, never the
+    analyses of the pass being audited. *)
 
 type verdict =
   | Certified  (** justified by the oracle (or vacuous: provably dead) *)

@@ -13,7 +13,6 @@ val empty : t
 val add : t -> pass -> t
 
 val pass_diagnostics : pass -> Check.Diagnostic.t list
-val diagnostics : t -> Check.Diagnostic.t list
 val errors : t -> Check.Diagnostic.t list
 val clean : t -> bool
 (** No Error-severity diagnostics (precision-win Infos are fine). *)

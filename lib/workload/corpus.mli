@@ -20,10 +20,8 @@ val figure14b_src : string
 val loop_invariant_src : string
 val cyclic_congruence_src : string
 val phi_predication_src : string
-val predicate_inference_src : string
 val reassociation_src : string
 
-val parse : string -> Ir.Ast.routine
 val func_of_src : ?pruning:Ssa.Construct.pruning -> string -> Ir.Func.t
 
 val all_named : (string * string) list

@@ -56,22 +56,3 @@ let guard_nest n : Ast.routine =
   }
 
 let guard_nest_func n = Ssa.Construct.of_cir (Ir.Lower.lower_routine (guard_nest n))
-
-(* A deep chain of straight-line redundant blocks, for scaling measurements
-   that should be linear in routine size. *)
-let straightline n : Ast.routine =
-  let body =
-    List.concat
-      (List.init n (fun k ->
-           let v = Printf.sprintf "s%d" k in
-           let prev = if k = 0 then Ast.Enum 1 else Ast.Evar (Printf.sprintf "s%d" (k - 1)) in
-           [
-             Ast.Sassign (v, Ast.Ebinop (Ir.Types.Add, prev, Ast.Enum 1));
-             Ast.Sassign (v ^ "b", Ast.Ebinop (Ir.Types.Add, prev, Ast.Enum 1));
-           ]))
-  in
-  {
-    Ast.name = Printf.sprintf "straight%d" n;
-    params = [ "p0" ];
-    body = body @ [ Ast.Sreturn (Ast.Evar (Printf.sprintf "s%d" (n - 1))) ];
-  }

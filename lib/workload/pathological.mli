@@ -13,7 +13,3 @@ val guard_nest : int -> Ir.Ast.routine
     shape for touch propagation's per-edge cost. *)
 
 val guard_nest_func : int -> Ir.Func.t
-
-val straightline : int -> Ir.Ast.routine
-(** A long straight-line block of pairwise-redundant additions: scaling
-    measurements over it should be linear. *)

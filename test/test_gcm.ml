@@ -80,7 +80,7 @@ let test_licm_hoist () =
   let s = Gcm.stats p in
   Alcotest.(check bool) "something hoisted" true (s.Gcm.hoisted >= 1);
   let x = find_instr f (function Ir.Func.Binop (Ir.Types.Mul, _, _) -> true | _ -> false) in
-  let fr = p.Gcm.placement.Schedule.Placement.forest in
+  let fr = Schedule.Placement.forest p.Gcm.placement in
   let from_depth = Analysis.Loops.depth_at fr (Ir.Func.block_of_instr f x) in
   let to_depth = Analysis.Loops.depth_at fr p.Gcm.target.(x) in
   Alcotest.(check int) "multiply starts in the loop" 1 from_depth;

@@ -44,7 +44,7 @@ let prop_ranges_wellformed =
     (fun seed ->
       let f = Workload.Generator.func ~seed ~name:"sched" () in
       let pl = Placement.compute f in
-      let dom = pl.Placement.dom in
+      let dom = Placement.dom pl in
       let ok = ref true in
       for v = 0 to Ir.Func.num_instrs f - 1 do
         let b = Ir.Func.block_of_instr f v in
@@ -57,8 +57,8 @@ let prop_ranges_wellformed =
           if not (Analysis.Dom.dominates dom e bst) then ok := false;
           if not (Analysis.Dom.dominates dom bst l) then ok := false;
           if
-            Analysis.Loops.depth_at pl.Placement.forest bst
-            > Analysis.Loops.depth_at pl.Placement.forest b
+            Analysis.Loops.depth_at (Placement.forest pl) bst
+            > Analysis.Loops.depth_at (Placement.forest pl) b
           then ok := false;
           if Speculate.is_pinned pl.Placement.safety.(v) && (e <> b || l <> b || bst <> b) then
             ok := false
@@ -101,7 +101,7 @@ let test_best_moves_certify () =
   let moved = ref 0 in
   let try_func f =
     let pl = Placement.compute f in
-    let dom = pl.Placement.dom in
+    let dom = Placement.dom pl in
     for v = 0 to Ir.Func.num_instrs f - 1 do
       let b = Ir.Func.block_of_instr f v in
       let bst = pl.Placement.best.(v) in
@@ -189,8 +189,8 @@ let test_fact_cleared_division () =
   let b = Ir.Func.block_of_instr f d in
   let bst = pl.Placement.best.(d) in
   Alcotest.(check bool) "best leaves the loop" true
-    (Analysis.Loops.depth_at pl.Placement.forest bst
-    < Analysis.Loops.depth_at pl.Placement.forest b);
+    (Analysis.Loops.depth_at (Placement.forest pl) bst
+    < Analysis.Loops.depth_at (Placement.forest pl) b);
   let placement = Check.Schedule.identity f in
   placement.(d) <- bst;
   (match Check.Schedule.run ~placement f with

@@ -41,7 +41,7 @@ let gen_ops =
    are the State's own; at or above it every flag is set, and each one the
    State has not set yet is a touch the oracle has already counted. *)
 let abstraction_agrees (st : Pgvn.State.t) (o : Touch_oracle.t) =
-  let rank = st.Pgvn.State.rpo.Analysis.Rpo.number in
+  let rank = (Pgvn.State.rpo st).Analysis.Rpo.number in
   let deferred_blocks = ref 0 and deferred_instrs = ref 0 in
   let flag ~pending deferred mine eager =
     if pending then begin
@@ -78,8 +78,8 @@ let abstraction_agrees (st : Pgvn.State.t) (o : Touch_oracle.t) =
 let watermark_matches_oracle (seed, ops) =
   let f = Workload.Generator.func ~seed ~name:"p" () in
   let st = Pgvn.State.create Pgvn.Config.full f in
-  let o = Touch_oracle.create f st.Pgvn.State.rpo in
-  let order = st.Pgvn.State.rpo.Analysis.Rpo.order in
+  let o = Touch_oracle.create f (Pgvn.State.rpo st) in
+  let order = (Pgvn.State.rpo st).Analysis.Rpo.order in
   let nb = Array.length order and ni = Ir.Func.num_instrs f in
   let ne = Ir.Func.num_edges f in
   let at = ref (-1) in

@@ -12,7 +12,7 @@ open Pgvn.State
 let idom_of st b =
   match st.config.Pgvn.Config.variant with
   | Pgvn.Config.Complete -> Analysis.Inc_dom.idom st.inc_dom b
-  | Pgvn.Config.Practical -> st.dom.Analysis.Dom.idom.(b)
+  | Pgvn.Config.Practical -> (Pgvn.State.dom st).Analysis.Dom.idom.(b)
 
 type step = Up of int | Via of int | Stop
 
