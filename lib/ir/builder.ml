@@ -69,6 +69,11 @@ let unop t blk op a = append t blk (Func.Unop (op, a))
 let binop t blk op a b = append t blk (Func.Binop (op, a, b))
 let cmp t blk op a b = append t blk (Func.Cmp (op, a, b))
 
+let instr t blk ins =
+  if Func.is_phi ins || not (Func.defines_value ins) then
+    invalid_arg "Builder.instr: not a non-phi value instruction";
+  append t blk ins
+
 let opaque ?tag t blk args =
   let tag =
     match tag with

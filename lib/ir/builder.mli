@@ -24,6 +24,11 @@ val unop : t -> int -> Types.unop -> Func.value -> Func.value
 val binop : t -> int -> Types.binop -> Func.value -> Func.value -> Func.value
 val cmp : t -> int -> Types.cmp -> Func.value -> Func.value -> Func.value
 
+val instr : t -> int -> Func.instr -> Func.value
+(** [instr t blk ins] appends a non-φ value instruction whose operands
+    are ids this builder handed out.
+    @raise Invalid_argument on a φ or a terminator. *)
+
 val opaque : ?tag:int -> t -> int -> Func.value list -> Func.value
 (** An uninterpreted call; without [?tag] a fresh tag is allocated (the
     value is then congruent to nothing else). *)

@@ -3,4 +3,5 @@
     single-argument φs), and drop structurally unreachable blocks. *)
 
 val run : Ir.Func.t -> Ir.Func.t
-val fixpoint : ?max_rounds:int -> Ir.Func.t -> Ir.Func.t
+val fixpoint : Ir.Func.t -> Ir.Func.t
+(** {!run} until the block count stops falling, for at most ten rounds. *)
