@@ -138,7 +138,7 @@ let rec parse_stmt st : Ast.stmt =
       expect st RPAREN "expected ')'";
       expect st LBRACE "expected '{'";
       let cases = ref [] in
-      let default = ref [] in
+      let default = ref None in
       let parse_case_body () =
         expect st LBRACE "expected '{' after case label";
         let body = parse_stmts st in
@@ -167,9 +167,10 @@ let rec parse_stmt st : Ast.stmt =
             cases := (k, parse_case_body ()) :: !cases;
             loop ()
         | KW_DEFAULT ->
+            if Option.is_some !default then err st "duplicate default label";
             advance st;
             expect st COLON "expected ':'";
-            default := parse_case_body ();
+            default := Some (parse_case_body ());
             loop ()
         | RBRACE -> advance st
         | _ -> err st "expected 'case', 'default' or '}'"
@@ -183,7 +184,7 @@ let rec parse_stmt st : Ast.stmt =
           if Hashtbl.mem seen k then err st "duplicate case label";
           Hashtbl.replace seen k ())
         cases;
-      Ast.Sswitch (e, cases, !default)
+      Ast.Sswitch (e, cases, Option.value !default ~default:[])
   | KW_WHILE ->
       advance st;
       expect st LPAREN "expected '(' after while";

@@ -571,6 +571,20 @@ let test_duplicate_param () =
         (path ^ ":1:14: parse error: duplicate parameter name (found a)\n") err)
     [ []; [ "--run"; "1,2" ] ]
 
+(* A switch with two default labels is a parse error at the second. *)
+let test_duplicate_default () =
+  let path =
+    write_tmp "dup_default.mc"
+      "routine f(a) { switch (a) { default: { a = 1; } default: { a = 2; } } return a; }\n"
+  in
+  List.iter
+    (fun args ->
+      let code, err = run_stderr (args @ [ path ]) in
+      Alcotest.(check int) "exits 2" 2 code;
+      Alcotest.(check string) "diagnostic"
+        (path ^ ":1:49: parse error: duplicate default label (found default)\n") err)
+    [ []; [ "--run"; "5" ] ]
+
 let suite =
   [
     Alcotest.test_case "exit 0 on clean runs" `Quick test_exit_clean;
@@ -609,4 +623,8 @@ let suite =
       (fun ((name, _) as set) ->
         Alcotest.test_case ("golden output: " ^ name) `Quick (test_golden set))
       golden_sets
-  @ [ Alcotest.test_case "duplicate parameter names are a parse error" `Quick test_duplicate_param ]
+  @ [
+      Alcotest.test_case "duplicate parameter names are a parse error" `Quick test_duplicate_param;
+      Alcotest.test_case "duplicate default labels are a parse error" `Quick
+        test_duplicate_default;
+    ]

@@ -152,6 +152,17 @@ let test_parser_duplicate_params () =
   let r = Ir.Parser.parse_one "routine g(a, b) { return a; }" in
   Alcotest.(check (list string)) "distinct names parse" [ "a"; "b" ] r.Ir.Ast.params
 
+let test_parser_duplicate_default () =
+  let src = "routine f(a) { switch (a) { default: { a = 1; } default: { a = 2; } } return a; }" in
+  (match Ir.Parser.parse_one src with
+  | exception Ir.Parser.Error (msg, off) ->
+      Alcotest.(check (pair string int))
+        "error at the second default" ("duplicate default label (found default)", 48) (msg, off)
+  | _ -> Alcotest.fail "a second default label must be rejected");
+  match Ir.Parser.parse_one "routine f(a) { switch (a) { case 1: { } default: { } } return a; }" with
+  | { Ir.Ast.body = [ Ir.Ast.Sswitch (_, [ (1, []) ], []); _ ]; _ } -> ()
+  | _ -> Alcotest.fail "one empty default parses"
+
 let test_validate_catches_errors () =
   (* A phi with the wrong argument count must be rejected. *)
   let bld = Ir.Builder.create ~name:"bad" ~nparams:0 in
@@ -433,4 +444,5 @@ let suite =
     Alcotest.test_case "validate: operand messages name the instruction" `Quick
       test_validate_operand_messages;
     Alcotest.test_case "parser: duplicate parameter names" `Quick test_parser_duplicate_params;
+    Alcotest.test_case "parser: duplicate default labels" `Quick test_parser_duplicate_default;
   ]
