@@ -2,20 +2,20 @@
 
 let func_of_src = Workload.Corpus.func_of_src
 
+(* A path under the repository root, found from the test binary's own
+   location, so the suite runs from whatever directory it is started in:
+   the source tree two levels above the build context when the path is
+   there, else the build context itself (where built executables live). *)
+let repo_path rel =
+  let build_root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let source = Filename.concat (Filename.concat build_root (Filename.concat ".." "..")) rel in
+  if Sys.file_exists source then source else Filename.concat build_root rel
+
 (* The mini-C sources the repository ships, as (name, text) pairs:
    examples/programs/*.mc in file-name order, then the hand-written
-   corpus. The directory is found from the test binary's own location, so
-   the suite reads them from whatever directory it is started in: the copy
-   dune makes in the build tree for the test rules, else (after a plain
-   [dune build], which makes no copy) the source tree two levels above the
-   build context. *)
+   corpus. *)
 let shipped_sources () =
-  let build_root = Filename.dirname (Filename.dirname Sys.executable_name) in
-  let programs root = Filename.concat root (Filename.concat "examples" "programs") in
-  let dir =
-    if Sys.file_exists (programs build_root) then programs build_root
-    else programs (Filename.concat build_root (Filename.concat ".." ".."))
-  in
+  let dir = repo_path (Filename.concat "examples" "programs") in
   let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
   let examples =
     Sys.readdir dir |> Array.to_list

@@ -3,7 +3,7 @@
    2 on usage or parse errors. The binary is a declared test dependency, so
    it sits next to the test executable's directory in the build tree. *)
 
-let gvnopt = Filename.concat (Filename.concat ".." "bin") "gvnopt.exe"
+let gvnopt = Helpers.repo_path (Filename.concat "bin" "gvnopt.exe")
 
 let write_tmp name contents =
   let path = Filename.concat (Filename.get_temp_dir_name ()) ("gvnopt_cli_" ^ name) in
@@ -441,10 +441,15 @@ let golden_sets =
     ("preset-pessimistic", [ "--preset=pessimistic"; "--stats" ]);
     ("preset-dense", [ "--preset=dense"; "--stats" ]);
     ("complete", [ "--complete"; "--stats" ]);
+    ("validate-witness", [ "--validate=witness" ]);
+    ("validate-diff-gcm-dump", [ "--validate=diff"; "--gcm=dump" ]);
+    ("gcm-check", [ "--gcm=check" ]);
   ]
 
+let golden_dir = Helpers.repo_path (Filename.concat "test" "golden")
+
 let golden_inputs () =
-  let dir = Filename.concat (Filename.concat ".." "examples") "programs" in
+  let dir = Helpers.repo_path (Filename.concat "examples" "programs") in
   let examples =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun n -> Filename.check_suffix n ".mc")
@@ -467,7 +472,7 @@ let test_golden (name, args) () =
       output_string oc got;
       close_out oc
   | None ->
-      let ic = open_in_bin (Filename.concat "golden" (name ^ ".out")) in
+      let ic = open_in_bin (Filename.concat golden_dir (name ^ ".out")) in
       let want = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Alcotest.(check string) (name ^ " snapshot") want got;
