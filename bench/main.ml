@@ -912,6 +912,10 @@ let validate_section suite =
       match r.Transform.Pipeline.validation with
       | None -> ()
       | Some v ->
+          if not (Validate.Report.clean v) then
+            Fmt.failwith "validate: %s refuted: %a" f.Ir.Func.name
+              Fmt.(list ~sep:sp Check.Diagnostic.pp)
+              (Validate.Report.errors v);
           List.iter
             (fun p ->
               (match kind_of_pass p.Validate.Report.pass with

@@ -231,27 +231,30 @@ let run_schedule ppf ~obs mode name f =
       false
 
 (* The optimizing mode: GVN + rewrite, DCE and CFG cleanup, plus GCM under
-   --gcm, as one Transform.Pipeline pass list. A GCM plan (or output) the
-   schedule-legality checker refutes reports its sched-* diagnostics, fails
-   the routine, and the function is rendered as GVN and cleanup left it.
-   Returns the pipeline's result and the refusal's diagnostics (if any). *)
+   --gcm, as one Transform.Pipeline pass list, which also certifies the
+   compile: under --validate the whole list as one step, "gvn+cleanup";
+   under --gcm=check the motion's behaviour diff. A refused GCM pass is
+   undone, so the function is rendered as GVN and cleanup left it. *)
 let optimize ~opts ~obs f =
   let module P = Transform.Pipeline in
-  let run ~gcm =
-    P.run_list
-      { P.Options.default with config = opts.config; obs }
-      ([ P.Pass.gvn ~name:"gvn"; P.Pass.dce ~name:"dce"; P.Pass.simplify_cfg ~name:"simplify-cfg" ]
-      @ if gcm then [ P.Pass.gcm ~name:"gcm" ] else [])
-      f
-  in
-  match run ~gcm:(opts.gcm <> None) with
-  | r -> (r, [])
-  | exception P.Certification_failed { diagnostics; _ } -> (run ~gcm:false, diagnostics)
+  P.run_list
+    {
+      P.Options.default with
+      config = opts.config;
+      validate = Option.map (fun mode -> (mode, P.Options.Whole "gvn+cleanup")) opts.validate;
+      obs;
+    }
+    ([ P.Pass.gvn ~name:"gvn"; P.Pass.dce ~name:"dce"; P.Pass.simplify_cfg ~name:"simplify-cfg" ]
+    @
+    match opts.gcm with
+    | Some mode -> [ P.Pass.gcm ~diff:(mode = Gcheck) ~name:"gcm" ]
+    | None -> [])
+    f
 
 (* --gcm's report over the certified plan: the moves under --gcm=dump, the
-   motion counts, and under --gcm=check an Engine-2 diff across the motion
-   alone (moved code must be observably invisible). *)
-let report_gcm ppf ~obs ~failed name mode (p : Transform.Gcm.plan) g' =
+   motion counts, and under --gcm=check the pass's behaviour diff across
+   the motion alone (moved code must be observably invisible). *)
+let report_gcm ppf ~failed name mode { Transform.Pipeline.plan = p; diff } =
   let pl = p.Transform.Gcm.placement in
   if mode = Gdump then
     List.iter
@@ -265,21 +268,18 @@ let report_gcm ppf ~obs ~failed name mode (p : Transform.Gcm.plan) g' =
   Fmt.pf ppf "gcm: %d value(s) moved (%d hoisted, %d sunk) | %d speculation-blocked@."
     s.Transform.Gcm.moved s.Transform.Gcm.hoisted s.Transform.Gcm.sunk
     s.Transform.Gcm.speculation_blocked;
-  if mode = Gcheck then begin
-    let r =
-      Obs.span_o obs ~cat:"verify" "gcm.diff" @@ fun () ->
-      Validate.Equiv.check ~pass:"gcm" pl.Schedule.Placement.func g'
-    in
-    if Validate.Equiv.ok r then
-      Fmt.pf ppf "gcm diff: observably equivalent (%d runs)@." r.Validate.Equiv.runs
-    else begin
-      List.iter
-        (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
-        (Validate.Equiv.diagnostics r);
-      Fmt.pf ppf "gcm diff: DISAGREE@.";
-      failed := true
-    end
-  end
+  Option.iter
+    (fun r ->
+      if Validate.Equiv.ok r then
+        Fmt.pf ppf "gcm diff: observably equivalent (%d runs)@." r.Validate.Equiv.runs
+      else begin
+        List.iter
+          (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
+          (Validate.Equiv.diagnostics r);
+        Fmt.pf ppf "gcm diff: DISAGREE@.";
+        failed := true
+      end)
+    diff
 
 (* The static cross-check of a GVN run's claims against interval facts; a
    contradiction fails the run. *)
@@ -393,39 +393,34 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
           let ranges = dump_range () in
           crosscheck ppf ~failed ~ranges st)
   | Optimize ->
-      let r, refused = optimize ~opts ~obs f in
+      let r = optimize ~opts ~obs f in
       Option.iter summarize r.Transform.Pipeline.gvn_state;
       let g = r.Transform.Pipeline.func in
-      (match (opts.gcm, r.Transform.Pipeline.gcm_plan) with
-      | Some _, _ when refused <> [] ->
+      (match (opts.gcm, r.Transform.Pipeline.gcm) with
+      | Some _, None ->
+          let refused =
+            Option.value ~default:[] (List.assoc_opt "gcm" r.Transform.Pipeline.refused)
+          in
           List.iter
             (fun d -> Fmt.pf ppf "%s (gcm): %a@." name Check.Diagnostic.pp d)
             (Check.sort refused);
           Fmt.pf ppf "gcm: REFUSED (%d violation(s)); not rewritten@." (List.length refused);
           failed := true
-      | Some mode, Some p -> report_gcm ppf ~obs ~failed name mode p g
-      | _ -> ());
+      | Some mode, Some report -> report_gcm ppf ~failed name mode report
+      | None, _ -> ());
       Fmt.pf ppf "--- optimized (%d -> %d instrs, %d -> %d blocks) ---@.%a@."
         (Ir.Func.num_instrs f) (Ir.Func.num_instrs g) (Ir.Func.num_blocks f)
         (Ir.Func.num_blocks g) Ir.Printer.pp g;
       diagnose ~stage:"optimized" name g;
-      (match opts.validate with
-      | None -> ()
-      | Some mode ->
-          (* One whole-path certification of input -> final function:
-             Engine 1 audits the GVN rewrite's witnesses against [f],
-             Engine 2 diffs observable behavior across every pass. *)
-          let p =
-            Validate.certify ?obs ~mode ~pass:"gvn+cleanup"
-              ~witnesses:r.Transform.Pipeline.witnesses f g
-          in
-          let report = Validate.Report.add Validate.Report.empty p in
+      Option.iter
+        (fun report ->
           Fmt.pf ppf "validate: %a@." Validate.Report.pp_summary report;
           let errors = Validate.Report.errors report in
           List.iter
             (fun d -> Fmt.pf ppf "%s (validate): %a@." name Check.Diagnostic.pp d)
             errors;
-          if errors <> [] then failed := true);
+          if errors <> [] then failed := true)
+        r.Transform.Pipeline.validation;
       (match opts.run_args with
       | None -> ()
       | Some args ->

@@ -9,10 +9,13 @@
    optionally appended after the last round) is {!standard_passes}; gvnopt
    runs its own short list (GVN, DCE, CFG cleanup, optionally GCM).
 
-   With [Options.check] the {!Check} verifier runs after every pass and the
+   [run_list] is the one place a compile is certified. With
+   [Options.check] the {!Check} verifier runs after every pass and the
    first broken invariant is attributed to the pass that introduced it. A
-   pass's own certifier (GCM's schedule-legality check) raises
-   {!Certification_failed} the same way.
+   pass whose transform or certifier refuses (GCM's schedule-legality
+   check and behaviour diff) is undone and its diagnostics recorded; the
+   translation validator's verdicts, per pass or over the whole list, are
+   recorded the same way.
 
    Every pass instance is an [Obs] span (cat "pass"); the [timings] list is
    a view over those spans, not a separate stopwatch, and all time
@@ -36,72 +39,48 @@ let kind_seconds kind timings =
 
 let total_seconds_of timings = List.fold_left (fun acc t -> acc +. t.seconds) 0.0 timings
 
+type gcm_report = { plan : Gcm.plan; diff : Validate.Equiv.report option }
+
 type result = {
   func : Ir.Func.t;
   timings : timing list;
   gvn_seconds : float;
   total_seconds : float;
   gvn_state : Pgvn.State.t option; (* the last GVN run's state *)
-  witnesses : Validate.Witness.t list; (* the last GVN rewrite's witnesses *)
-  gcm_plan : Gcm.plan option; (* the last GCM pass's certified plan *)
+  gcm : gcm_report option; (* the last GCM pass's certified plan and diff *)
+  refused : (string * Check.Diagnostic.t list) list; (* undone passes, in order *)
   validation : Validate.Report.t option; (* under [Options.validate] *)
-  crosschecks : (string * Absint.Crosscheck.report) list; (* under [Options.crosscheck] *)
 }
 
 module Options = struct
+  type scope = Each_pass | Whole of string
+
   type t = {
     config : Pgvn.Config.t;
     check : bool;
-    validate : Validate.mode option;
-    crosscheck : bool;
+    validate : (Validate.mode * scope) option;
     obs : Obs.t option;
   }
 
-  let default =
-    { config = Pgvn.Config.full; check = false; validate = None; crosscheck = false; obs = None }
-
+  let default = { config = Pgvn.Config.full; check = false; validate = None; obs = None }
   let with_config config t = { t with config }
   let with_check check t = { t with check }
-  let with_validate validate t = { t with validate = Some validate }
-  let with_crosscheck crosscheck t = { t with crosscheck }
+
+  let with_validate ?whole mode t =
+    let scope = match whole with Some name -> Whole name | None -> Each_pass in
+    { t with validate = Some (mode, scope) }
+
   let with_obs obs t = { t with obs = Some obs }
 end
 
 exception
   Broken_invariant of { pass : string; diagnostics : Check.Diagnostic.t list }
 
-exception
-  Validation_failed of { pass : string; diagnostics : Check.Diagnostic.t list }
-
-exception
-  Crosscheck_failed of { pass : string; report : Absint.Crosscheck.report }
-
-exception
-  Certification_failed of { pass : string; diagnostics : Check.Diagnostic.t list }
-
 let () =
   Printexc.register_printer (function
     | Broken_invariant { pass; diagnostics } ->
         Some
           (Fmt.str "pipeline pass %s broke %d invariant(s); first: %a" pass
-             (List.length diagnostics)
-             Fmt.(option Check.Diagnostic.pp)
-             (List.nth_opt diagnostics 0))
-    | Validation_failed { pass; diagnostics } ->
-        Some
-          (Fmt.str "pipeline pass %s failed validation with %d finding(s); first: %a"
-             pass
-             (List.length diagnostics)
-             Fmt.(option Check.Diagnostic.pp)
-             (List.nth_opt diagnostics 0))
-    | Crosscheck_failed { pass; report } ->
-        Some
-          (Fmt.str "pipeline pass %s contradicted by the interval semantics: %a" pass
-             Absint.Crosscheck.pp_report report)
-    | Certification_failed { pass; diagnostics } ->
-        Some
-          (Fmt.str "pipeline pass %s refused certification with %d finding(s); first: %a"
-             pass
              (List.length diagnostics)
              Fmt.(option Check.Diagnostic.pp)
              (List.nth_opt diagnostics 0))
@@ -132,17 +111,18 @@ module Pass = struct
   type ctx = {
     obs : Obs.t option;
     config : Pgvn.Config.t;
-    crosscheck : bool;
     gvn_state : Pgvn.State.t option ref;
-    crosschecks : (string * Absint.Crosscheck.report) list ref;
-    gcm_plan : Gcm.plan option ref;
+    gcm : gcm_report option ref;
   }
 
   type t = {
     name : string;
     kind : pass_kind;
     transform :
-      ctx -> name:string -> Ir.Func.t -> Ir.Func.t * Validate.Witness.t list;
+      ctx ->
+      name:string ->
+      Ir.Func.t ->
+      (Ir.Func.t * Validate.Witness.t list, Check.Diagnostic.t list) Stdlib.result;
     certifier :
       (ctx ->
       name:string ->
@@ -153,54 +133,56 @@ module Pass = struct
   }
 
   let pure kind ~name p =
-    { name; kind; transform = (fun _ ~name:_ f -> (p f, [])); certifier = None }
+    { name; kind; transform = (fun _ ~name:_ f -> Ok (p f, [])); certifier = None }
 
   let simplify_cfg ~name = pure Simplify_cfg ~name Simplify_cfg.fixpoint
   let analyses ~name = pure Analyses ~name analysis_pass
   let lvn ~name = pure Lvn ~name Lvn.run
   let dce ~name = pure Dce ~name Dce.run
 
-  let gvn ~name:name_ =
+  let gvn ~name =
     {
-      name = name_;
+      name;
       kind = Gvn;
       transform =
-        (fun ctx ~name fn ->
+        (fun ctx ~name:_ fn ->
           let st = Pgvn.Driver.run ?obs:ctx.obs ctx.config fn in
           ctx.gvn_state := Some st;
-          if ctx.crosscheck then begin
-            (* Static replay of the run's claims against interval facts,
-               before the rewrite is even applied. *)
-            let report =
-              Obs.span_o ctx.obs ~cat:"verify" "crosscheck" (fun () ->
-                  Absint.Crosscheck.run st)
-            in
-            ctx.crosschecks := (name, report) :: !(ctx.crosschecks);
-            if not (Absint.Crosscheck.ok report) then
-              raise (Crosscheck_failed { pass = name; report })
-          end;
-          Apply.rebuild_witnessed st fn);
+          Ok (Apply.rebuild_witnessed st fn));
       certifier = None;
     }
 
-  let gcm ~name:name_ =
+  let gcm ~diff ~name =
     {
-      name = name_;
+      name;
       kind = Gcm;
       transform =
-        (fun ctx ~name fn ->
+        (fun ctx ~name:_ fn ->
           match Gcm.run ?obs:ctx.obs fn with
           | f', plan ->
-              ctx.gcm_plan := Some plan;
-              (f', [])
+              ctx.gcm := Some { plan; diff = None };
+              Ok (f', [])
           | exception Gcm.Rejected { diagnostics } ->
-              raise (Certification_failed { pass = name; diagnostics }));
+              ctx.gcm := None;
+              Error diagnostics);
       (* Second opinion from the other side of the fence: the output
-         function's own (identity) schedule must still be legal. *)
+         function's own (identity) schedule must still be legal. Then,
+         under [diff], the motion alone must be observably invisible. *)
       certifier =
         Some
-          (fun _ ~name:_ ~before:_ ~after ->
-            Check.errors (Check.Schedule.run after));
+          (fun ctx ~name ~before ~after ->
+            match Check.errors (Check.Schedule.run after) with
+            | _ :: _ as refuted ->
+                ctx.gcm := None;
+                refuted
+            | [] when not diff -> []
+            | [] ->
+                let r =
+                  Obs.span_o ctx.obs ~cat:"verify" "gcm.diff" @@ fun () ->
+                  Validate.Equiv.check ~pass:name before after
+                in
+                ctx.gcm := Option.map (fun g -> { g with diff = Some r }) !(ctx.gcm);
+                Validate.Equiv.diagnostics r);
     }
 end
 
@@ -222,75 +204,85 @@ let standard_round round =
 
 let standard_passes ?(rounds = 2) ?(gcm = false) () =
   List.concat (List.init rounds (fun i -> standard_round (i + 1)))
-  @ if gcm then [ Pass.gcm ~name:"gcm#1" ] else []
+  @ if gcm then [ Pass.gcm ~diff:false ~name:"gcm#1" ] else []
 
 let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result =
-  let { Options.config; check; validate; crosscheck; obs = user_obs } = opts in
+  let { Options.config; check; validate; obs = user_obs } = opts in
   (* The pipeline's own spans always land in an observability context — a
      private one when the caller installs none — so the trace is the single
-     source of truth for time accounting. The passes see only the caller's
-     context: an untraced run does no engine instrumentation. *)
+     source of truth for time accounting. The passes and certifiers see
+     only the caller's context: an untraced run does no instrumentation. *)
   let obs = match user_obs with Some o -> o | None -> Obs.create () in
   let timings = ref [] in
-  let gvn_state = ref None in
-  let witnesses = ref [] in
-  let gcm_plan = ref None in
+  let ctx = { Pass.obs = user_obs; config; gvn_state = ref None; gcm = ref None } in
+  (* The last GVN pass's witnesses and the function they describe. *)
+  let witnesses = ref [] and gvn_input = ref f in
+  let refused = ref [] in
   let vreport = ref Validate.Report.empty in
-  let xreports = ref [] in
-  let ctx =
-    { Pass.obs = user_obs; config; crosscheck; gvn_state; crosschecks = xreports; gcm_plan }
+  let certify ~mode ~pass ~witnesses before after =
+    vreport :=
+      Validate.Report.add !vreport
+        (Validate.certify ?obs:user_obs ~mode ~pass ~witnesses before after)
   in
-  (* Certify one pass instance under the requested validation mode. The
-     analyses pass is the identity and is skipped; witness audits only ever
-     apply to the GVN pass (the only pass that emits witnesses). *)
-  let validate_pass ~name ~before ~after ~witnesses =
-    match validate with
-    | None -> ()
-    | Some mode ->
-        if Validate.diffs mode || witnesses <> [] then begin
-          let p = Validate.certify ~obs ~mode ~pass:name ~witnesses before after in
-          vreport := Validate.Report.add !vreport p;
-          match List.filter Check.Diagnostic.is_error (Validate.Report.pass_diagnostics p) with
-          | [] -> ()
-          | diagnostics -> raise (Validation_failed { pass = name; diagnostics })
-        end
-  in
-  let time_pass (p : Pass.t) x =
+  (* Run one pass instance; a refused pass is undone: the next pass gets
+     the function this one was given. *)
+  let run_pass x (p : Pass.t) =
     let name = p.Pass.name in
     let sp = Obs.Trace.begin_span obs.Obs.trace ~cat:"pass" name in
-    let y, ws = p.Pass.transform ctx ~name x in
+    let out = p.Pass.transform ctx ~name x in
     Obs.Trace.end_span obs.Obs.trace sp;
-    if p.Pass.kind = Gvn then witnesses := ws;
     timings := { pass = name; kind = p.Pass.kind; seconds = Obs.Trace.duration sp } :: !timings;
     Obs.observe_seconds obs "pipeline.pass_ns" (Obs.Trace.duration sp);
-    let y = guard ~obs ~check ~pass:name y in
-    (match p.Pass.certifier with
-    | None -> ()
-    | Some cert -> (
-        match cert ctx ~name ~before:x ~after:y with
-        | [] -> ()
-        | diagnostics -> raise (Certification_failed { pass = name; diagnostics })));
-    if p.Pass.kind <> Analyses then validate_pass ~name ~before:x ~after:y ~witnesses:ws;
-    y
+    let out =
+      Result.bind out (fun (y, ws) ->
+          let y = guard ~obs ~check ~pass:name y in
+          match p.Pass.certifier with
+          | None -> Ok (y, ws)
+          | Some cert -> (
+              match cert ctx ~name ~before:x ~after:y with [] -> Ok (y, ws) | ds -> Error ds))
+    in
+    match out with
+    | Error ds ->
+        refused := (name, ds) :: !refused;
+        x
+    | Ok (y, ws) ->
+        if p.Pass.kind = Gvn then begin
+          witnesses := ws;
+          gvn_input := x
+        end;
+        (* The analyses pass is the identity; witness audits only ever
+           apply to the GVN pass (the only pass that emits witnesses). *)
+        (match validate with
+        | Some (mode, Options.Each_pass)
+          when p.Pass.kind <> Analyses && (Validate.diffs mode || ws <> []) ->
+            certify ~mode ~pass:name ~witnesses:ws x y
+        | _ -> ());
+        y
   in
   let pipeline_span = Obs.Trace.begin_span obs.Obs.trace ~cat:"pipeline" "pipeline" in
   Fun.protect ~finally:(fun () -> Obs.Trace.end_span obs.Obs.trace pipeline_span)
   @@ fun () ->
   Obs.add obs "pipeline.runs" 1;
-  let current = ref (guard ~obs ~check ~pass:"input" f) in
-  List.iter (fun p -> current := time_pass p !current) passes;
+  let f = guard ~obs ~check ~pass:"input" f in
+  let g = List.fold_left run_pass f passes in
+  (match validate with
+  | Some (mode, Options.Whole pass) ->
+      (* Witnesses describe the GVN pass's input: audit them against the
+         list's input only when no pass before GVN changed it. *)
+      let witnesses = if !gvn_input == f then !witnesses else [] in
+      certify ~mode ~pass ~witnesses f g
+  | _ -> ());
   Obs.Trace.end_span obs.Obs.trace pipeline_span;
   let timings = List.rev !timings in
   {
-    func = !current;
+    func = g;
     timings;
     (* Accounting matches on [kind] only: a display name may collide (a
        future pass could be called "gvn-lite#1") without skewing Table 1. *)
     gvn_seconds = kind_seconds Gvn timings;
     total_seconds = Obs.Trace.duration pipeline_span;
-    gvn_state = !gvn_state;
-    witnesses = !witnesses;
-    gcm_plan = !gcm_plan;
-    validation = (match validate with None -> None | Some _ -> Some !vreport);
-    crosschecks = List.rev !xreports;
+    gvn_state = !(ctx.gvn_state);
+    gcm = !(ctx.gcm);
+    refused = List.rev !refused;
+    validation = Option.map (fun _ -> !vreport) validate;
   }

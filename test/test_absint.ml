@@ -420,23 +420,20 @@ let test_crosscheck_superseded_claims () =
       assert_crosscheck_clean (Printf.sprintf "seed %d" seed) (Absint.Crosscheck.run st))
     [ 104; 210; 544; 180967 ]
 
-let test_pipeline_crosscheck_hook () =
-  (* The pipeline integration: every GVN pass instance is cross-checked
-     before its rewrite is applied, and the reports ride on the result. *)
+let test_crosscheck_second_round () =
+  (* What a second GVN round sees: the output of a whole standard round
+     (CFG cleanup, LVN, DCE, GVN + rewrite, cleanup) on every corpus
+     routine. GVN's claims on it must replay clean too. *)
   List.iter
     (fun (name, src) ->
       let f = Helpers.func_of_src src in
-      let r =
-        let opts = Transform.Pipeline.Options.(default |> with_crosscheck true) in
-        Transform.Pipeline.run_list opts (Transform.Pipeline.standard_passes ()) f
+      let g =
+        (Transform.Pipeline.run_list Transform.Pipeline.Options.default
+           (Transform.Pipeline.standard_passes ~rounds:1 ())
+           f)
+          .Transform.Pipeline.func
       in
-      Alcotest.(check bool)
-        (name ^ ": one report per GVN pass")
-        true
-        (List.length r.Transform.Pipeline.crosschecks = 2);
-      List.iter
-        (fun (pass, rep) -> assert_crosscheck_clean (name ^ "/" ^ pass) rep)
-        r.Transform.Pipeline.crosschecks)
+      assert_crosscheck_clean name (Absint.Crosscheck.run (Pgvn.Driver.run Pgvn.Config.full g)))
     Workload.Corpus.all_named
 
 let test_crosscheck_catches_faulty_inference () =
@@ -488,8 +485,8 @@ let suite =
         test_crosscheck_benchmarks;
       Alcotest.test_case "crosscheck: superseded optimistic claims are dropped" `Quick
         test_crosscheck_superseded_claims;
-      Alcotest.test_case "crosscheck: pipeline hook reports every GVN pass" `Quick
-        test_pipeline_crosscheck_hook;
+      Alcotest.test_case "crosscheck: second-round GVN inputs replay clean" `Quick
+        test_crosscheck_second_round;
       Alcotest.test_case "crosscheck: seeded inference fault is caught" `Quick
         test_crosscheck_catches_faulty_inference;
     ]

@@ -118,9 +118,9 @@ let test_pipeline_with_gcm () =
       (Transform.Pipeline.standard_passes ~gcm:true ())
       f
   in
-  (match r.Transform.Pipeline.gcm_plan with
-  | None -> Alcotest.fail "gcm_plan missing with a GCM pass"
-  | Some p ->
+  (match r.Transform.Pipeline.gcm with
+  | None -> Alcotest.fail "GCM report missing with a GCM pass"
+  | Some { Transform.Pipeline.plan = p; _ } ->
       Alcotest.(check bool) "pipeline GCM moved the invariant" true
         ((Gcm.stats p).Gcm.moved >= 1));
   let has_gcm_timing =
@@ -137,8 +137,7 @@ let test_pipeline_with_gcm () =
       (Transform.Pipeline.standard_passes ())
       f
   in
-  Alcotest.(check bool) "no gcm_plan by default" true
-    (r0.Transform.Pipeline.gcm_plan = None)
+  Alcotest.(check bool) "no GCM report by default" true (r0.Transform.Pipeline.gcm = None)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded illegal-plan mutants                                         *)

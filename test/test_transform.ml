@@ -172,6 +172,45 @@ let test_pipeline_timings_present () =
   Alcotest.(check bool) "several passes timed" true
     (List.length r.Transform.Pipeline.timings > 10)
 
+(* A pass its certifier refuses is undone, not raised: the next pass gets
+   the function the refused pass was given, the refusal's diagnostics are
+   on the result, and the rest of the list still runs. *)
+let test_pipeline_undoes_refused_pass () =
+  let module P = Transform.Pipeline in
+  let f = Helpers.func_of_src "routine f(a) { dead = a * 37; return a + 1; }" in
+  let refusal =
+    Check.Diagnostic.error ~check:"test-refusal" ~loc:Check.Diagnostic.Func "refused"
+  in
+  let refused =
+    {
+      P.Pass.name = "refused#1";
+      kind = P.Dce;
+      transform = (fun _ ~name:_ g -> Ok (Transform.Dce.run g, []));
+      certifier = Some (fun _ ~name:_ ~before:_ ~after:_ -> [ refusal ]);
+    }
+  in
+  let seen = ref None in
+  let probe =
+    {
+      P.Pass.name = "probe#1";
+      kind = P.Analyses;
+      transform =
+        (fun _ ~name:_ g ->
+          seen := Some g;
+          Ok (g, []));
+      certifier = None;
+    }
+  in
+  let r = P.run_list P.Options.default [ refused; probe; P.Pass.dce ~name:"dce#1" ] f in
+  Alcotest.(check bool) "the next pass gets the refused pass's input" true
+    (match !seen with Some g -> g == f | None -> false);
+  Alcotest.(check (list string)) "every pass ran" [ "refused#1"; "probe#1"; "dce#1" ]
+    (List.map (fun t -> t.P.pass) r.P.timings);
+  Alcotest.(check bool) "the refusal is on the result" true
+    (r.P.refused = [ ("refused#1", [ refusal ]) ]);
+  Alcotest.(check bool) "the later DCE removed the dead product" true
+    (Ir.Func.num_instrs r.P.func < Ir.Func.num_instrs f)
+
 (* Time accounting must match on the structural [kind] only: a timing
    whose display name merely *starts with* "gvn" (a hypothetical
    "gvn-lite#1" pass) must not be charged to GVN, and a GVN instance under
@@ -359,6 +398,8 @@ let suite =
     Alcotest.test_case "dominance-based redundancy elimination" `Quick
       test_apply_redundancy_elimination;
     Alcotest.test_case "pipeline reports timings" `Quick test_pipeline_timings_present;
+    Alcotest.test_case "pipeline undoes a pass its certifier refuses" `Quick
+      test_pipeline_undoes_refused_pass;
     Alcotest.test_case "kind_seconds matches on kind, not display name" `Quick
       test_kind_seconds_ignores_display_names;
     Alcotest.test_case "rebuilding passes are pinned" `Quick test_rebuilds_pinned;

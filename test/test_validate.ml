@@ -341,23 +341,43 @@ let test_validation_report_shape () =
       Alcotest.(check int) "no rejections" 0 t.Validate.Report.rejected;
       Alcotest.(check bool) "report is clean" true (Validate.Report.clean v)
 
-let test_pipeline_raises_on_refuted_pass () =
-  (* A pipeline whose GVN pass were to emit a refuted witness must raise
-     Validation_failed. Simulate by auditing a poisoned witness list and
-     checking the pipeline's public rejection path stays wired: certify's
-     diagnostics drive the exception, so the same diagnostics must be
-     errors. *)
-  let f = straightline () in
-  let x, y = xy f in
-  let p =
-    Validate.certify ~mode:Validate.Witness ~pass:"gvn#1"
-      ~witnesses:[ Validate.Witness.Replace { v = y; leader = x; cid = 0 } ]
-      f f
+(* A miscompiling pass under the behavioural diff: the refutation is
+   recorded, not raised, against the pass in per-pass mode and against the
+   list's caller-given name in whole-list mode. *)
+let test_pipeline_records_refuted_pass () =
+  let module P = Transform.Pipeline in
+  let f = Helpers.func_of_src "routine f(a) { return a + 1; }" in
+  let miscompile =
+    {
+      P.Pass.name = "bad#1";
+      kind = P.Lvn;
+      transform = (fun _ ~name:_ _ -> Ok (Helpers.func_of_src "routine f(a) { return a + 2; }", []));
+      certifier = None;
+    }
   in
-  let errors =
-    List.filter Check.Diagnostic.is_error (Validate.Report.pass_diagnostics p)
+  let passes = [ P.Pass.dce ~name:"dce#1"; miscompile; P.Pass.simplify_cfg ~name:"cfg#1" ] in
+  let refuted_entries opts =
+    match (P.run_list opts passes f).P.validation with
+    | None -> Alcotest.fail "expected a validation report"
+    | Some v ->
+        List.filter_map
+          (fun (p : Validate.Report.pass) ->
+            match
+              List.filter
+                (fun d ->
+                  Check.Diagnostic.is_error d
+                  && d.Check.Diagnostic.check = "validate-behavior"
+                  && contains d.Check.Diagnostic.message p.Validate.Report.pass)
+                (Validate.Report.pass_diagnostics p)
+            with
+            | [] -> None
+            | _ -> Some p.Validate.Report.pass)
+          v.Validate.Report.passes
   in
-  Alcotest.(check bool) "certify surfaces the rejection as an error" true (errors <> [])
+  Alcotest.(check (list string)) "per pass: blamed on the pass" [ "bad#1" ]
+    (refuted_entries P.Options.(default |> with_validate Validate.Diff));
+  Alcotest.(check (list string)) "whole list: blamed on the list" [ "whole" ]
+    (refuted_entries P.Options.(default |> with_validate ~whole:"whole" Validate.Diff))
 
 let suite =
   [
@@ -385,6 +405,6 @@ let suite =
     Alcotest.test_case "pipeline: benchmark suite certifies under all presets" `Slow
       test_pipeline_validates_suite;
     Alcotest.test_case "pipeline: validation report shape" `Quick test_validation_report_shape;
-    Alcotest.test_case "certify: rejection surfaces as error" `Quick
-      test_pipeline_raises_on_refuted_pass;
+    Alcotest.test_case "pipeline: a refuted pass is recorded, not raised" `Quick
+      test_pipeline_records_refuted_pass;
   ]
