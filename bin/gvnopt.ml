@@ -433,25 +433,13 @@ let process_routine ppf ~opts ~obs ~cir ~f name =
           if not agree then failed := true));
   !failed
 
-(* The cache key's fingerprint: every flag the rendered output depends on.
-   The key itself is the parsed routine, and lowering, SSA construction and
+(* The cache key's fingerprint: every flag the rendered output depends on,
+   which is all of [opts], so a field added there separates keys too. The
+   key itself is the parsed routine, and lowering, SSA construction and
    everything after them are functions of the routine and these options.
    Marshal is fine here: plain data, and the persisted tier's key version
    covers the format. *)
-let fingerprint ~opts =
-  Marshal.to_string
-    ( opts.config,
-      opts.pruning,
-      opts.action,
-      opts.stats,
-      opts.dump_input,
-      opts.run_args,
-      opts.check,
-      opts.lint,
-      opts.werror,
-      opts.validate,
-      opts.gcm )
-    []
+let fingerprint ~opts = Marshal.to_string opts []
 
 (* Compile one routine, answering from the cache when its key is known:
    returns its rendered output, whether it failed, and the routine-private

@@ -10,14 +10,14 @@
      pruned out-edge claims the condition avoids that edge on every
      execution; refuted when the interval facts prove the condition takes
      exactly the pruned side.
-   - predicate inferences: every True/False verdict [Infer.decide] issued
-     (recorded in [Run_stats.inferences]) claims a comparison's truth at a
-     block; refuted when [Itv.cmp_verdict] proves the opposite.
-   - closure inferences: verdicts of the multi-fact implication closure
-     (lib/pred, recorded in [Run_stats.pred_inferences]) are replayed the
-     same way ("pred-vs-interval"), and additionally checked for conflicts
-     against single-fact verdicts for the identical query at the identical
-     block ("pred-vs-infer") — the two deciders over-approximate the same
+   - predicate claims: every True/False verdict [Infer.decide] issued
+     (recorded in [Run_stats.claims], each with what decided it: one
+     dominating edge's predicate, or the multi-fact implication closure of
+     lib/pred) claims a comparison's truth at a block; refuted when
+     [Itv.cmp_verdict] proves the opposite ("pred-vs-interval" for a
+     closure claim). A closure claim is also checked for conflicts against
+     single-fact verdicts for the identical query at the identical block
+     ("pred-vs-infer") — the two deciders over-approximate the same
      concrete truth, so opposite answers mean one of them lied.
    - φ block predicates: [Phipred]'s Figure 8 predicates claim to hold
      whenever control is at their block; refuted when abstract evaluation
@@ -159,8 +159,13 @@ let run ?ranges (st : Pgvn.State.t) : report =
   in
   List.iter check_branch (Pgvn.Driver.decided_branches st);
 
-  (* --- recorded predicate inferences ----------------------------------- *)
-  let inferences_checked = ref 0 in
+  (* --- recorded predicate claims ----------------------------------------- *)
+  (* Single-fact claims are replayed first, then closure claims, each in
+     recorded order. A closure claim's contradictions carry pinned ids:
+     "pred-vs-interval" for an interval refutation, "pred-vs-infer" for a
+     verdict conflicting with a single-fact claim on the identical query at
+     the identical block. *)
+  let inferences_checked = ref 0 and pred_checked = ref 0 in
   let atom_itv b = function
     | Pgvn.Run_stats.Aconst k -> Some (Itv.const k)
     | Pgvn.Run_stats.Avalue v ->
@@ -173,72 +178,53 @@ let run ?ranges (st : Pgvn.State.t) : report =
     | Pgvn.Run_stats.Aconst k -> string_of_int k
     | Pgvn.Run_stats.Avalue v -> Fmt.str "v%d" v
   in
-  let check_inference (inf : Pgvn.Run_stats.inference) =
-    let b = inf.Pgvn.Run_stats.inf_block in
-    if live b then
-      match (atom_itv b inf.Pgvn.Run_stats.inf_a, atom_itv b inf.Pgvn.Run_stats.inf_b) with
-      | Some ia, Some ib when not (Itv.is_bottom ia || Itv.is_bottom ib) -> (
-          incr inferences_checked;
-          let verdict = inf.Pgvn.Run_stats.inf_verdict in
-          match Itv.cmp_verdict inf.Pgvn.Run_stats.inf_op ia ib with
-          | Some v when v <> verdict ->
-              flag (Sblock b)
-                (Fmt.str "%s %s %s is %b (from the predicate of edge e%d)"
-                   (atom_str inf.Pgvn.Run_stats.inf_a)
-                   (Ir.Types.string_of_cmp inf.Pgvn.Run_stats.inf_op)
-                   (atom_str inf.Pgvn.Run_stats.inf_b)
-                   verdict inf.Pgvn.Run_stats.inf_edge)
-                (Fmt.str "intervals %s and %s prove it %b" (itv_str ia) (itv_str ib)
-                   (not verdict))
-          | _ -> ())
-      | _ -> ()
+  let single, closure =
+    List.partition
+      (fun (c : Pgvn.Run_stats.claim) -> c.by <> Pgvn.Run_stats.Closure)
+      st.Pgvn.State.stats.Pgvn.Run_stats.claims
   in
-  List.iter check_inference st.Pgvn.State.stats.Pgvn.Run_stats.inferences;
-
-  (* --- closure-decided predicate inferences ------------------------------ *)
-  (* Same replay discipline as single-fact inferences. Contradictions carry
-     pinned ids: "pred-vs-interval" for an interval refutation,
-     "pred-vs-infer" for a verdict conflicting with a single-fact claim on
-     the identical query at the identical block. *)
-  let pred_checked = ref 0 in
-  let check_pred_inference (pi : Pgvn.Run_stats.pred_inference) =
-    let b = pi.Pgvn.Run_stats.pinf_block in
+  let check_claim (c : Pgvn.Run_stats.claim) =
+    let b = c.block in
     if live b then begin
-      let verdict = pi.Pgvn.Run_stats.pinf_verdict in
       let query_s =
-        Fmt.str "%s %s %s"
-          (atom_str pi.Pgvn.Run_stats.pinf_a)
-          (Ir.Types.string_of_cmp pi.Pgvn.Run_stats.pinf_op)
-          (atom_str pi.Pgvn.Run_stats.pinf_b)
+        Fmt.str "%s %s %s" (atom_str c.a) (Ir.Types.string_of_cmp c.op) (atom_str c.b)
       in
-      (match (atom_itv b pi.Pgvn.Run_stats.pinf_a, atom_itv b pi.Pgvn.Run_stats.pinf_b) with
+      let claim_s, checked, id =
+        match c.by with
+        | Pgvn.Run_stats.Edge e ->
+            ( Fmt.str "%s is %b (from the predicate of edge e%d)" query_s c.verdict e,
+              inferences_checked,
+              "" )
+        | Pgvn.Run_stats.Closure ->
+            ( Fmt.str "%s is %b (multi-fact closure)" query_s c.verdict,
+              pred_checked,
+              "[pred-vs-interval] " )
+      in
+      (match (atom_itv b c.a, atom_itv b c.b) with
       | Some ia, Some ib when not (Itv.is_bottom ia || Itv.is_bottom ib) -> (
-          incr pred_checked;
-          match Itv.cmp_verdict pi.Pgvn.Run_stats.pinf_op ia ib with
-          | Some v when v <> verdict ->
-              flag (Sblock b)
-                (Fmt.str "%s is %b (multi-fact closure)" query_s verdict)
-                (Fmt.str "[pred-vs-interval] intervals %s and %s prove it %b" (itv_str ia)
-                   (itv_str ib) (not verdict))
+          incr checked;
+          match Itv.cmp_verdict c.op ia ib with
+          | Some v when v <> c.verdict ->
+              flag (Sblock b) claim_s
+                (Fmt.str "%sintervals %s and %s prove it %b" id (itv_str ia) (itv_str ib)
+                   (not c.verdict))
           | _ -> ())
       | _ -> ());
-      List.iter
-        (fun (inf : Pgvn.Run_stats.inference) ->
-          if
-            inf.Pgvn.Run_stats.inf_block = b
-            && inf.Pgvn.Run_stats.inf_op = pi.Pgvn.Run_stats.pinf_op
-            && inf.Pgvn.Run_stats.inf_a = pi.Pgvn.Run_stats.pinf_a
-            && inf.Pgvn.Run_stats.inf_b = pi.Pgvn.Run_stats.pinf_b
-            && inf.Pgvn.Run_stats.inf_verdict <> verdict
-          then
-            flag (Sblock b)
-              (Fmt.str "%s is %b (multi-fact closure)" query_s verdict)
-              (Fmt.str "[pred-vs-infer] the single-fact walk decided it %b via edge e%d"
-                 (not verdict) inf.Pgvn.Run_stats.inf_edge))
-        st.Pgvn.State.stats.Pgvn.Run_stats.inferences
+      if c.by = Pgvn.Run_stats.Closure then
+        List.iter
+          (fun (s : Pgvn.Run_stats.claim) ->
+            match s.by with
+            | Pgvn.Run_stats.Edge e
+              when s.block = b && s.op = c.op && s.a = c.a && s.b = c.b && s.verdict <> c.verdict
+              ->
+                flag (Sblock b) claim_s
+                  (Fmt.str "[pred-vs-infer] the single-fact walk decided it %b via edge e%d"
+                     (not c.verdict) e)
+            | _ -> ())
+          single
     end
   in
-  List.iter check_pred_inference st.Pgvn.State.stats.Pgvn.Run_stats.pred_inferences;
+  List.iter check_claim (single @ closure);
 
   (* --- φ block predicates ----------------------------------------------- *)
   (* Three-valued abstract evaluation of a predicate expression at a block:

@@ -63,7 +63,9 @@ let run (f : Ir.Func.t) : Ir.Func.t =
               v')
       | None -> Ir.Copy.value c v
     in
-    let c = Ir.Copy.create ~subst f in
+    (* A block the entry does not reach is dropped. *)
+    let keep = Analysis.Graph.reachable (Analysis.Ctx.graph ctx f) in
+    let c = Ir.Copy.create ~keep ~subst f in
     Array.iter
       (fun b ->
         Array.iter

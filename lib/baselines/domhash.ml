@@ -28,6 +28,7 @@ let rules_subject : rep Rules.Engine.subject =
     bunop = (fun _ _ -> None);
     bbinop = (fun _ _ _ -> None);
     reduce = (fun _ -> None);
+    fired = ignore;
   }
 
 type key =
@@ -63,9 +64,9 @@ let run (f : Ir.Func.t) : result =
     undo := ck :: !undo
   in
   let fold_key = function
-    | Kunop (op, a) -> Rules.Engine.rewrite_unop (Rules.Engine.shared ()) rules_subject op a
+    | Kunop (op, a) -> Rules.Engine.rewrite_unop Rules.Engine.shared rules_subject op a
     | Kbinop (op, a, b) ->
-        Rules.Engine.rewrite_binop (Rules.Engine.shared ()) rules_subject op a b
+        Rules.Engine.rewrite_binop Rules.Engine.shared rules_subject op a b
     | Kcmp (op, Rconst a, Rconst b) -> Some (Rconst (Ir.Types.eval_cmp op a b))
     | Kconst n -> Some (Rconst n)
     | _ -> None

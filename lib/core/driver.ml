@@ -376,8 +376,8 @@ let walk_queries st b0 qs =
       if q.edge >= 0 then begin
         (match claim_atoms q with
         | Some (a, b) ->
-            Run_stats.record_inference st.stats ~block:b0 ~edge:q.edge ~op:q.qop ~a ~b
-              ~verdict:q.verdict
+            Run_stats.record_claim st.stats ~block:b0 ~by:(Run_stats.Edge q.edge) ~op:q.qop ~a
+              ~b ~verdict:q.verdict
         | None -> ());
         q.result <- Hexpr.const st.arena (if q.verdict then 1 else 0)
       end
@@ -385,7 +385,8 @@ let walk_queries st b0 qs =
         let record verdict =
           match claim_atoms q with
           | Some (a, b) ->
-              Run_stats.record_pred_inference st.stats ~block:b0 ~op:q.qop ~a ~b ~verdict
+              Run_stats.record_claim st.stats ~block:b0 ~by:Run_stats.Closure ~op:q.qop ~a ~b
+                ~verdict
           | None -> ()
         in
         match
@@ -865,12 +866,15 @@ let process_outgoing_edges st b : bool =
 (* ------------------------------------------------------------------ *)
 (* The main loop (Figure 3).                                           *)
 
+(* "Everything" is every block the RPO holds: a block with no path from the
+   entry is never swept, so marking or touching it would leave work no pass
+   can do. *)
 let mark_everything_reachable st =
-  Array.iteri (fun b _ -> st.reach_block.(b) <- true) st.reach_block;
   (* The complete variant's reachable dominator tree needs edges inserted
      source-first; RPO block order guarantees that. *)
   Array.iter
     (fun b ->
+      st.reach_block.(b) <- true;
       Array.iter
         (fun e ->
           if not st.reach_edge.(e) then begin
@@ -883,32 +887,13 @@ let mark_everything_reachable st =
     (State.rpo st).Analysis.Rpo.order
 
 let touch_everything st =
-  for b = 0 to Ir.Func.num_blocks st.f - 1 do
-    touch_block st b;
-    touch_block_instrs st b
-  done
+  Array.iter
+    (fun b ->
+      touch_block st b;
+      touch_block_instrs st b)
+    (State.rpo st).Analysis.Rpo.order
 
 exception Diverged of string
-
-(* The rule engine's fire counters are global (shared across every client
-   of the catalog); a run snapshots them on entry and publishes the deltas
-   as [rules.fired.<name>], so per-run and per-benchmark attribution works
-   without threading a counter context through the matcher. *)
-type rules_snapshot = { snap_fired : (string * int) list; snap_folds : int }
-
-let rules_snapshot () =
-  let eng = Rules.Engine.shared () in
-  { snap_fired = Rules.Engine.counts eng; snap_folds = Rules.Engine.const_folds eng }
-
-let record_rules obs (before : rules_snapshot) =
-  let now = rules_snapshot () in
-  List.iter2
-    (fun (name, b) (name', a) ->
-      assert (String.equal name name');
-      if a - b > 0 then Obs.add obs ("rules.fired." ^ name) (a - b))
-    before.snap_fired now.snap_fired;
-  if now.snap_folds - before.snap_folds > 0 then
-    Obs.add obs "rules.fired.const-fold" (now.snap_folds - before.snap_folds)
 
 (* Publish the run's engine counters through the observability layer, under
    the stable metric names of DESIGN.md §4d. *)
@@ -936,11 +921,16 @@ let record_metrics obs (st : State.t) =
   Obs.add obs "pgvn.arena.live" a.Util.Hashcons.live;
   Obs.add obs "pgvn.arena.interned" a.Util.Hashcons.interned;
   Obs.add obs "pgvn.arena.hits" a.Util.Hashcons.hits;
-  Obs.max_gauge obs "pgvn.arena.max_chain" (float_of_int a.Util.Hashcons.max_chain)
+  Obs.max_gauge obs "pgvn.arena.max_chain" (float_of_int a.Util.Hashcons.max_chain);
+  List.iteri
+    (fun i (r : Rules.Pattern.rule) ->
+      let n = s.Run_stats.rules_fired.(i) in
+      if n > 0 then Obs.add obs ("rules.fired." ^ r.Rules.Pattern.name) n)
+    Rules.catalog;
+  if s.Run_stats.const_folds > 0 then Obs.add obs "rules.fired.const-fold" s.Run_stats.const_folds
 
 let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
   let run_span = match obs with Some o -> Some (Obs.Trace.begin_span o.Obs.trace ~cat:"gvn" "pgvn.run") | None -> None in
-  let rules_before = rules_snapshot () in
   let st = State.create config f in
   let everything_reachable =
     config.Config.mode = Config.Pessimistic || not config.Config.unreachable_code
@@ -961,11 +951,10 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
      evaluation replaces the instruction's earlier records, so the recorded
      claims are those of the final state. *)
   let ni = Ir.Func.num_instrs f in
-  let claims = Array.make ni [] and pred_claims = Array.make ni [] in
+  let claims = Array.make ni [] in
   let evaluate b i =
     let s = st.stats in
-    s.Run_stats.inferences <- [];
-    s.Run_stats.pred_inferences <- [];
+    s.Run_stats.claims <- [];
     let ins = Ir.Func.instr st.f i in
     let changed =
       if Ir.Func.defines_value ins then congruence_finding st i (symbolic_eval st b i ins)
@@ -974,8 +963,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
         | Ir.Func.Jump | Ir.Func.Branch _ | Ir.Func.Switch _ -> process_outgoing_edges st b
         | _ -> false
     in
-    claims.(i) <- s.Run_stats.inferences;
-    pred_claims.(i) <- s.Run_stats.pred_inferences;
+    claims.(i) <- s.Run_stats.claims;
     changed
   in
   Fun.protect ~finally:(fun () ->
@@ -983,8 +971,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
       | Some o, Some sp ->
           Obs.Trace.end_span o.Obs.trace sp;
           Obs.observe_seconds o "pgvn.run_ns" (Obs.Trace.duration sp);
-          record_metrics o st;
-          record_rules o rules_before
+          record_metrics o st
       | _ -> ())
   @@ fun () ->
   while !continue_loop && has_work st do
@@ -1032,9 +1019,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
          routine, not just the affected instructions. *)
       touch_everything st
   done;
-  let collect a = Array.fold_left (fun acc l -> l @ acc) [] a in
-  st.stats.Run_stats.inferences <- collect claims;
-  st.stats.Run_stats.pred_inferences <- collect pred_claims;
+  st.stats.Run_stats.claims <- Array.fold_left (fun acc l -> l @ acc) [] claims;
   st
 
 (* ------------------------------------------------------------------ *)

@@ -102,6 +102,7 @@ let make_subject (st : State.t) : Hexpr.t Rules.Engine.subject =
                      (Hexpr.mul_terms rank (Hexpr.terms_of_atom x) (Hexpr.terms_of_atom y)))
             | _ -> Some (Hexpr.make_op arena rank (Hexpr.Ubop op) [ x; y ])));
     reduce = (fun e -> atom_of_expr st e);
+    fired = Run_stats.count_fire st.stats;
   }
 
 let subject_of st =
@@ -127,7 +128,7 @@ let binop_atoms (st : State.t) (op : Ir.Types.binop) x y =
     | _ -> Hexpr.make_op st.arena (rank_fn st) (Hexpr.Ubop op) [ x; y ]
   in
   if st.config.Config.rules then
-    match Rules.Engine.rewrite_binop (Rules.Engine.shared ()) (subject_of st) op x y with
+    match Rules.Engine.rewrite_binop Rules.Engine.shared (subject_of st) op x y with
     | Some r -> r
     | None -> fallback ()
   else fallback ()
@@ -142,7 +143,7 @@ let unop_atom (st : State.t) (op : Ir.Types.unop) x =
         | _ -> Hexpr.make_op st.arena (rank_fn st) (Hexpr.Uuop op) [ x ]
       in
       if st.config.Config.rules then
-        match Rules.Engine.rewrite_unop (Rules.Engine.shared ()) (subject_of st) op x with
+        match Rules.Engine.rewrite_unop Rules.Engine.shared (subject_of st) op x with
         | Some r -> r
         | None -> fallback ()
       else fallback ())

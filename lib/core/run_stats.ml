@@ -1,39 +1,30 @@
-(* Per-run instrumentation of the GVN engine, backing the paper's §4/§5
-   efficiency claims: pass counts and the average number of blocks visited
-   per processed instruction during value inference, predicate inference and
-   φ-predication. *)
+(* Per-run instrumentation of the GVN engine, and the one record a run
+   keeps of itself: pass counts and the average number of blocks visited
+   per processed instruction during value inference, predicate inference
+   and φ-predication (the paper's §4/§5 efficiency claims), the rewrite
+   rules that fired, and the predicate claims a static checker replays. *)
 
-(* One operand of a recorded predicate-inference claim. Queries reaching
+(* One operand of a recorded predicate claim. Queries reaching
    [Infer.decide] compare atoms: constants or congruence-class leader
    values (SSA value ids). *)
 type atom = Aconst of int | Avalue of int
 
-(* A decided predicate-inference query: while computing at block
-   [inf_block], the engine asked whether [inf_a inf_op inf_b] holds given
-   the predicate on dominating edge [inf_edge], and [Infer.decide]
-   answered [inf_verdict]. Recorded so a static checker
-   ([Absint.Crosscheck]) can replay every claim against independently
-   computed interval facts. *)
-type inference = {
-  inf_block : int;
-  inf_edge : int;
-  inf_op : Ir.Types.cmp;
-  inf_a : atom;
-  inf_b : atom;
-  inf_verdict : bool;
-}
+(* What decided a claim: the predicate on one dominating edge, or the
+   multi-fact implication closure (lib/pred), from the conjunction of all
+   dominating-edge facts, when the single-fact walk could not. *)
+type decider = Edge of int | Closure
 
-(* A query the single-fact walk could not decide but the multi-fact
-   implication closure (lib/pred) did, from the conjunction of all
-   dominating-edge facts — so no single [pinf_edge] exists. Recorded for
-   the same reason as [inference]: [Absint.Crosscheck] replays every
-   claim against independently computed interval facts. *)
-type pred_inference = {
-  pinf_block : int;
-  pinf_op : Ir.Types.cmp;
-  pinf_a : atom;
-  pinf_b : atom;
-  pinf_verdict : bool;
+(* A decided predicate query: while computing at [block], the engine asked
+   whether [a op b] holds and [by] answered [verdict]. Recorded so a static
+   checker ([Absint.Crosscheck]) can replay every claim against
+   independently computed interval facts. *)
+type claim = {
+  block : int;
+  by : decider;
+  op : Ir.Types.cmp;
+  a : atom;
+  b : atom;
+  verdict : bool;
 }
 
 type t = {
@@ -48,12 +39,13 @@ type t = {
   mutable class_moves : int;
   mutable table_probes : int; (* TABLE lookups during congruence finding *)
   mutable table_hits : int; (* probes answered by an existing class *)
-  mutable inferences : inference list; (* the final state's claims *)
+  rules_fired : int array; (* per catalog rule, in Rules.catalog order *)
+  mutable const_folds : int;
+  mutable claims : claim list; (* the final state's claims *)
   mutable pred_closure_queries : int; (* closure fallbacks attempted *)
   mutable pred_decided_true : int;
   mutable pred_decided_false : int;
   mutable pred_contradictions : int; (* contradictory fact conjunctions seen *)
-  mutable pred_inferences : pred_inference list; (* the final state's claims *)
 }
 
 let create () =
@@ -69,26 +61,26 @@ let create () =
     class_moves = 0;
     table_probes = 0;
     table_hits = 0;
-    inferences = [];
+    rules_fired = Array.make (List.length Rules.catalog) 0;
+    const_folds = 0;
+    claims = [];
     pred_closure_queries = 0;
     pred_decided_true = 0;
     pred_decided_false = 0;
     pred_contradictions = 0;
-    pred_inferences = [];
   }
 
-let record_inference t ~block ~edge ~op ~a ~b ~verdict =
-  t.inferences <-
-    { inf_block = block; inf_edge = edge; inf_op = op; inf_a = a; inf_b = b;
-      inf_verdict = verdict }
-    :: t.inferences
+let count_fire t = function
+  | Rules.Engine.Rule i -> t.rules_fired.(i) <- t.rules_fired.(i) + 1
+  | Rules.Engine.Const_fold -> t.const_folds <- t.const_folds + 1
 
-let record_pred_inference t ~block ~op ~a ~b ~verdict =
-  (if verdict then t.pred_decided_true <- t.pred_decided_true + 1
-   else t.pred_decided_false <- t.pred_decided_false + 1);
-  t.pred_inferences <-
-    { pinf_block = block; pinf_op = op; pinf_a = a; pinf_b = b; pinf_verdict = verdict }
-    :: t.pred_inferences
+let record_claim t ~block ~by ~op ~a ~b ~verdict =
+  (match by with
+  | Edge _ -> ()
+  | Closure ->
+      if verdict then t.pred_decided_true <- t.pred_decided_true + 1
+      else t.pred_decided_false <- t.pred_decided_false + 1);
+  t.claims <- { block; by; op; a; b; verdict } :: t.claims
 
 let per_instr count t =
   if t.instrs_processed = 0 then 0.0 else float_of_int count /. float_of_int t.instrs_processed

@@ -224,7 +224,14 @@ let create (config : Config.t) (f : Ir.Func.t) =
     back_in =
       Array.init nb (fun b -> Array.exists (fun e -> backward.(e)) (Ir.Func.block f b).Ir.Func.preds);
     inc_dom = Analysis.Inc_dom.create ~n:nb ~entry:Ir.Func.entry;
-    def_use = Ir.Func.def_use f;
+    def_use =
+      (let du = Ir.Func.def_use f and number = rpo.Analysis.Rpo.number in
+       (* The sweep never evaluates a user in a block the RPO lacks, so a
+          touch could never be cleared: such users are left out. *)
+       if Array.length rpo.Analysis.Rpo.order = nb then du
+       else
+         let swept i = number.(Ir.Func.block_of_instr f i) >= 0 in
+         Array.map (fun us -> Array.of_list (List.filter swept (Array.to_list us))) du);
     switch_default;
     stats = Run_stats.create ();
     rules_subject = None;

@@ -92,6 +92,7 @@ type t = {
   back_in : bool array;  (** per block: some incoming edge is a back edge *)
   inc_dom : Analysis.Inc_dom.t;  (** complete variant's reachable dominator tree *)
   def_use : int array array;
+      (** per value, its users in the blocks the RPO holds *)
   switch_default : (int * int array) option array;
       (** per edge: [Some (scrutinee, cases)] for switch default edges;
           populated only under [Config.pred_closure] *)

@@ -12,7 +12,15 @@
     substitutions that materialize a value: {!instr} resolves a binary
     instruction's second operand before its first, and {!finish} resolves
     terminator operands, then φ arguments in the reverse of the φs'
-    creation order. *)
+    creation order.
+
+    {b Blocks with no path from the entry} (a block with no predecessor,
+    say) lie outside the RPO the passes walk, so a copy that kept one would
+    end it with a terminator whose values were never copied. [Apply] keeps
+    only the blocks GVN reached, which never include one; [Simplify_cfg],
+    [Dce], [Lvn] and [Briggs_prepass] keep only the blocks the entry
+    reaches. All five drop such a block. [Gcm] keeps it, its values copied
+    in place after the RPO's blocks. *)
 
 type t
 

@@ -145,10 +145,11 @@ let pp_chrome ppf t =
       (function Sink.Span_begin _ | Sink.Span_end _ -> true | _ -> false)
       (events t)
   in
+  let last = List.length evs - 1 in
   Fmt.pf ppf "{@\n\"traceEvents\": [@\n";
   List.iteri
     (fun i e ->
-      let comma = if i = List.length evs - 1 then "" else "," in
+      let comma = if i = last then "" else "," in
       match e with
       | Sink.Span_begin { name; cat; ts; _ } ->
           Fmt.pf ppf

@@ -19,13 +19,22 @@
    constants the matcher folds through {!Ir.Types.fold_binop} before any
    rule is tried, and returns [None] when the fold would trap — so
    [6 / 0] stays an opaque expression for every client, with no special
-   case anywhere else. *)
+   case anywhere else.
+
+   The compiled table keeps no counts: the matcher tells the subject of
+   each rewrite it returns ([fired]), so the table is an immutable value
+   every domain shares, and a client that counts keeps its own tally (the
+   GVN engine, in its run's [Run_stats]). *)
 
 type 'a sview =
   | Sconst of int
   | Sunop of Ir.Types.unop * 'a
   | Sbinop of Ir.Types.binop * 'a * 'a
   | Satom
+
+(* What made a rewrite: the catalog rule at an index of the compiled list,
+   or the built-in constant folding. *)
+type fire = Rule of int | Const_fold
 
 type 'a subject = {
   view : 'a -> 'a sview;
@@ -37,6 +46,9 @@ type 'a subject = {
       (** map a freshly built compound RHS node to an atom usable as an
           operand of its parent (identity for clients whose builders
           already return atoms) *)
+  fired : fire -> unit;
+      (** told of every rewrite the matcher returns ([ignore] for clients
+          that keep no counts) *)
 }
 
 type entry = {
@@ -44,15 +56,12 @@ type entry = {
   variant : Pattern.pat;  (* one commutative expansion of [rule.lhs] *)
   nvars : int;
   ncvars : int;
-  fired : int ref;  (* shared by all variants of the rule *)
+  fire : fire;  (* the same for all variants of the rule *)
 }
 
 type t = {
   by_binop : entry list array;  (* indexed by {!binop_index} *)
   by_unop : entry list array;  (* indexed by {!unop_index} *)
-  catalog : Pattern.rule list;
-  counters : (string * int ref) list;  (* catalog order *)
-  const_folds : int ref;
 }
 
 let binop_index : Ir.Types.binop -> int = function
@@ -71,14 +80,12 @@ let unop_index : Ir.Types.unop -> int = function Neg -> 0 | Lnot -> 1 | Bnot -> 
 
 let compile (rules : Pattern.rule list) : t =
   let by_binop = Array.make 10 [] and by_unop = Array.make 3 [] in
-  let counters = List.map (fun r -> (r.Pattern.name, ref 0)) rules in
-  List.iter
-    (fun (r : Pattern.rule) ->
-      let fired = List.assoc r.Pattern.name counters in
+  List.iteri
+    (fun ix (r : Pattern.rule) ->
       let nvars, ncvars = Pattern.arity r in
       List.iter
         (fun variant ->
-          let e = { rule = r; variant; nvars; ncvars; fired } in
+          let e = { rule = r; variant; nvars; ncvars; fire = Rule ix } in
           match variant with
           | Pattern.Pbinop (op, _, _) ->
               let i = binop_index op in
@@ -89,11 +96,7 @@ let compile (rules : Pattern.rule list) : t =
           | _ -> invalid_arg "Rules.Engine.compile: top of a pattern must be an operator")
         (Pattern.variants r))
     rules;
-  { by_binop; by_unop; catalog = rules; counters; const_folds = ref 0 }
-
-let catalog t = t.catalog
-let counts t = List.map (fun (n, r) -> (n, !r)) t.counters
-let const_folds t = !(t.const_folds)
+  { by_binop; by_unop }
 
 (* ---------------- matching ---------------- *)
 
@@ -150,7 +153,7 @@ let guard_ok (e : entry) cenv =
 let fire (e : entry) s env cenv =
   match build s env cenv ~top:true e.rule.Pattern.rhs with
   | Some r ->
-      incr e.fired;
+      s.fired e.fire;
       Some r
   | None -> None
 
@@ -159,7 +162,7 @@ let rewrite_binop t s op x y =
   | Sconst a, Sconst b -> (
       match Ir.Types.fold_binop op a b with
       | Some c ->
-          incr t.const_folds;
+          s.fired Const_fold;
           Some (s.bconst c)
       | None -> None (* would trap: leave the expression opaque *))
   | _ ->
@@ -184,7 +187,7 @@ let rewrite_binop t s op x y =
 let rewrite_unop t s op x =
   match s.view x with
   | Sconst a ->
-      incr t.const_folds;
+      s.fired Const_fold;
       Some (s.bconst (Ir.Types.eval_unop op a))
   | _ ->
       let rec try_entries = function
@@ -204,10 +207,7 @@ let rewrite_unop t s op x =
 
 (* The shared engine over {!Catalog.all}: the one rule table the GVN
    engine, the expression algebras, the baselines and the oracle consult.
-   It is domain-local, not processwide — the compiled table carries mutable
-   fire counters, and {!Driver.run} publishes per-run counter deltas, which
-   only stay exact if no other domain bumps them mid-run. A GVN run is
-   confined to one domain, so domain-local counters give each run a private
-   tally at the cost of one table compilation per worker domain. *)
-let shared_key = Domain.DLS.new_key (fun () -> compile Catalog.all)
-let shared () = Domain.DLS.get shared_key
+   It is compiled once per process and never written after, so every
+   domain reads it freely; fire counts belong to the subject, and the GVN
+   engine's subject keeps them in its run's [Run_stats]. *)
+let shared = compile Catalog.all

@@ -26,9 +26,11 @@ let run (f : Ir.Func.t) : Ir.Func.t =
     live;
   if !all_live then f
   else begin
-    let c = Ir.Copy.create f in
-    (* RPO puts every definition before its non-φ uses. *)
-    let rpo = Analysis.Ctx.rpo (Analysis.Ctx.create f) f in
+    (* RPO puts every definition before its non-φ uses. A block the entry
+       does not reach is dropped. *)
+    let ctx = Analysis.Ctx.create f in
+    let rpo = Analysis.Ctx.rpo ctx f in
+    let c = Ir.Copy.create ~keep:(Analysis.Graph.reachable (Analysis.Ctx.graph ctx f)) f in
     Array.iter
       (fun b ->
         Array.iter

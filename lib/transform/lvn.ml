@@ -25,6 +25,7 @@ let rules_subject : lrep Rules.Engine.subject =
     bunop = (fun _ _ -> None);
     bbinop = (fun _ _ _ -> None);
     reduce = (fun _ -> None);
+    fired = ignore;
   }
 
 (* Returns a per-value rewrite map: [Some w] means "use w instead". *)
@@ -45,7 +46,7 @@ let rewrites (f : Ir.Func.t) =
           | Ir.Func.Unop (op, a) -> (
               let a = resolve a in
               let ra = match const_of.(a) with Some c -> Lc c | None -> Lv a in
-              match Rules.Engine.rewrite_unop (Rules.Engine.shared ()) rules_subject op ra with
+              match Rules.Engine.rewrite_unop Rules.Engine.shared rules_subject op ra with
               | Some (Lc c) ->
                   const_of.(i) <- Some c;
                   None
@@ -57,7 +58,7 @@ let rewrites (f : Ir.Func.t) =
               let a = resolve a and b' = resolve b' in
               let rep v = match const_of.(v) with Some c -> Lc c | None -> Lv v in
               match
-                Rules.Engine.rewrite_binop (Rules.Engine.shared ()) rules_subject op (rep a)
+                Rules.Engine.rewrite_binop Rules.Engine.shared rules_subject op (rep a)
                   (rep b')
               with
               | Some (Lc c) ->
@@ -97,8 +98,10 @@ let rewrites (f : Ir.Func.t) =
    [Const]. *)
 let run (f : Ir.Func.t) : Ir.Func.t =
   let rw, const_of = rewrites f in
-  let c = Ir.Copy.create f in
-  let rpo = Analysis.Ctx.rpo (Analysis.Ctx.create f) f in
+  (* A block the entry does not reach is dropped. *)
+  let ctx = Analysis.Ctx.create f in
+  let rpo = Analysis.Ctx.rpo ctx f in
+  let c = Ir.Copy.create ~keep:(Analysis.Graph.reachable (Analysis.Ctx.graph ctx f)) f in
   Array.iter
     (fun b ->
       Array.iter

@@ -70,6 +70,7 @@ let rules_subject : orep Rules.Engine.subject =
     bunop = (fun _ _ -> None);
     bbinop = (fun _ _ _ -> None);
     reduce = (fun _ -> None);
+    fired = ignore;
   }
 
 let rec ints_equal (a : int array) b k = k < 0 || (a.(k) = b.(k) && ints_equal a b (k - 1))
@@ -217,7 +218,7 @@ let number f arena order ~round (block_reach : bool array) (edge_reach : bool ar
         match (ca, cb) with
         | None, None when ra <> rb -> None
         | _ ->
-            Rules.Engine.rewrite_binop (Rules.Engine.shared ()) rules_subject op
+            Rules.Engine.rewrite_binop Rules.Engine.shared rules_subject op
               { onum = ra; ocst = ca } { onum = rb; ocst = cb }
       with
       | Some { ocst = Some c; _ } -> const i c

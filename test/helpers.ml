@@ -112,10 +112,11 @@ module Shallow = struct
               if H.is_atom x && H.is_atom y then Some (H.make_op a rank (H.Ubop op) [ x; y ])
               else None);
       reduce = (fun x -> if H.is_atom x then Some x else None);
+      fired = ignore;
     }
 
   let binop_atoms a rank op x y =
-    match Rules.Engine.rewrite_binop (Rules.Engine.shared ()) (subject a rank) op x y with
+    match Rules.Engine.rewrite_binop Rules.Engine.shared (subject a rank) op x y with
     | Some r -> r
     | None -> H.make_op a rank (H.Ubop op) [ x; y ]
 
@@ -125,7 +126,7 @@ module Shallow = struct
     match (op, H.node x) with
     | Ir.Types.Lnot, H.Cmp (c, u, v) -> H.cmp_ a (Ir.Types.negate_cmp c) u v
     | _ -> (
-        match Rules.Engine.rewrite_unop (Rules.Engine.shared ()) (subject a rank) op x with
+        match Rules.Engine.rewrite_unop Rules.Engine.shared (subject a rank) op x with
         | Some r -> r
         | None -> H.make_op a rank (H.Uuop op) [ x ])
 end

@@ -454,6 +454,40 @@ let test_crosscheck_catches_faulty_inference () =
   let r = Absint.Crosscheck.run mutant in
   Alcotest.(check bool) "mutant run is refuted" false (Absint.Crosscheck.ok r)
 
+let test_crosscheck_closure_claims_once () =
+  (* Under [pred_closure] single-fact and closure claims share one list.
+     With every closure verdict flipped, [x > 2 ∧ x ≠ 3 ⇒ x > 3] is
+     claimed false: each refuted claim is reported once, a closure claim
+     under a pinned id and no other claim under one. *)
+  let f =
+    Helpers.func_of_src
+      "routine sharpen(x) { if (x > 2) { if (x != 3) { if (x > 3) { return 1; } return 2; } } \
+       return 0; }"
+  in
+  let config = { Pgvn.Config.full with pred_closure = true } in
+  assert_crosscheck_clean "honest run" (Absint.Crosscheck.run (Pgvn.Driver.run config f));
+  let st =
+    Pred.Closure.with_fault Pred.Closure.Flip_verdict (fun () -> Pgvn.Driver.run config f)
+  in
+  let r = Absint.Crosscheck.run st in
+  let cs = r.Absint.Crosscheck.contradictions in
+  Alcotest.(check bool)
+    "closure verdicts were replayed" true
+    (r.Absint.Crosscheck.pred_checked >= 1);
+  Alcotest.(check bool) "the flipped verdict is refuted" false (Absint.Crosscheck.ok r);
+  Alcotest.(check int) "no contradiction reported twice" (List.length cs)
+    (List.length (List.sort_uniq compare cs));
+  List.iter
+    (fun (c : Absint.Crosscheck.contradiction) ->
+      let closure = String.ends_with ~suffix:"(multi-fact closure)" c.claim in
+      let pinned =
+        List.exists
+          (fun prefix -> String.starts_with ~prefix c.refutation)
+          [ "[pred-vs-interval] "; "[pred-vs-infer] " ]
+      in
+      Alcotest.(check bool) (c.claim ^ ": pinned id iff a closure claim") closure pinned)
+    cs
+
 let suite =
   List.map QCheck_alcotest.to_alcotest (itv_laws @ konst_laws)
   @ List.map QCheck_alcotest.to_alcotest
@@ -489,4 +523,6 @@ let suite =
         test_crosscheck_second_round;
       Alcotest.test_case "crosscheck: seeded inference fault is caught" `Quick
         test_crosscheck_catches_faulty_inference;
+      Alcotest.test_case "crosscheck: a closure claim is reported once, pinned" `Quick
+        test_crosscheck_closure_claims_once;
     ]

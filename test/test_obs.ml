@@ -367,6 +367,26 @@ let test_chrome_json () =
   let n = check_chrome_balanced doc in
   Alcotest.(check int) "two spans = four events" 4 n
 
+(* A full default ring: 32,768 spans are 65,536 events, every one written,
+   each followed by a comma except the last. *)
+let test_chrome_full_ring () =
+  let tr = Obs.Trace.create ~clock:(fake_clock ()) () in
+  for _ = 1 to 32_768 do
+    Obs.Trace.with_span tr "s" ignore
+  done;
+  Alcotest.(check int) "nothing dropped" 0 (Obs.Trace.dropped tr);
+  let text = chrome_doc_of_trace tr in
+  Alcotest.(check int) "every event parses" 65_536 (check_chrome_balanced (parse_json text));
+  let events =
+    List.filter (String.starts_with ~prefix:"{\"name\"") (String.split_on_char '\n' text)
+  in
+  let last = List.length events - 1 in
+  List.iteri
+    (fun i l ->
+      if String.ends_with ~suffix:"," l = (i = last) then
+        Alcotest.failf "event %d of %d: comma misplaced in %s" i (last + 1) l)
+    events
+
 (* ------------------------------------------------------------------ *)
 (* The pipeline contract: [result.timings] is a view over the trace, so
    per-pass totals reconstructed from the raw span stream must agree with
@@ -455,6 +475,7 @@ let suite =
       test_metrics_concurrent_hammer;
     Alcotest.test_case "metrics stream to the sink" `Quick test_metrics_sink_capture;
     Alcotest.test_case "chrome trace JSON is well-formed and balanced" `Quick test_chrome_json;
+    Alcotest.test_case "chrome trace of a full default ring" `Quick test_chrome_full_ring;
     Alcotest.test_case "pipeline timings are a view over the trace" `Slow
       test_timings_agree_with_trace;
   ]

@@ -3,9 +3,9 @@
    batch, back-to-back batches), the corpus-wide determinism pin (parallel
    and sequential runs must render byte-identical output and merge to the
    same metrics), the content-addressed result cache's keys and its two
-   tiers, and the two-domain regression for the domain-local state the
-   parallel audit converted (Rules.Engine's compiled tables, Infer's fault
-   hook). *)
+   tiers, and the two-domain regression for the state every domain
+   shares (Rules.Engine's immutable compiled table) or keeps to itself
+   (Infer's fault hook). *)
 
 let func_of_src = Helpers.func_of_src
 
@@ -167,11 +167,11 @@ let test_corpus_determinism () =
   Alcotest.(check string) "merged metrics reports identical" (merged seq) (merged par)
 
 (* ------------------------------------------------------------------ *)
-(* Two-domain pipeline regression: the state the parallelism audit made
-   domain-local — Rules.Engine's shared compiled tables and the rule fire
-   counters behind Driver.run's per-run deltas — must give each domain the
-   same answers it gives a sequential run. Raw Domain.spawn (no pool) so
-   the test pins the library invariant, not the pool's scheduling. *)
+(* Two-domain pipeline regression: Rules.Engine's compiled table, which
+   every domain reads, and the rule fire counts each run keeps in its own
+   Run_stats must give each domain the same answers it gives a sequential
+   run. Raw Domain.spawn (no pool) so the test pins the library invariant,
+   not the pool's scheduling. *)
 
 let test_two_domain_pipeline_matches_sequential () =
   let srcs =

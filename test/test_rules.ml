@@ -242,6 +242,47 @@ let test_fired_counters () =
     "x & x fires and-self" true
     (List.mem_assoc "rules.fired.and-self" fired)
 
+(* Fire counts live in each run's Run_stats, not in the shared table, so
+   they cannot depend on which domain ran a routine or on what that domain
+   ran before. *)
+let fired_counts (o : Obs.t) =
+  List.filter
+    (fun (k, _) -> String.starts_with ~prefix:"rules.fired." k)
+    (Obs.Metrics.snapshot o.Obs.metrics).Obs.Metrics.counters
+
+let run_observed f =
+  let o = Obs.create () in
+  ignore (Pgvn.Driver.run ~obs:o Pgvn.Config.full f);
+  o
+
+let merged_counts contexts =
+  let dst = Obs.create () in
+  Array.iter (fun o -> Obs.merge_into ~dst o) contexts;
+  fired_counts dst
+
+(* The corpus fires no catalog rule, so generated routines ride along. *)
+let test_fired_parallel_matches_sequential () =
+  let funcs =
+    Array.of_list
+      (List.map (fun (_, src) -> Helpers.func_of_src src) Workload.Corpus.all_named
+      @ List.init 24 (fun seed -> Workload.Generator.func ~seed ~name:"g" ()))
+  in
+  let seq = merged_counts (Array.map run_observed funcs) in
+  let par =
+    merged_counts (Par.Pool.with_pool ~domains:2 (fun pool -> Par.Pool.map pool run_observed funcs))
+  in
+  Alcotest.(check bool) "some catalog rule fires" true
+    (List.exists (fun (k, _) -> k <> "rules.fired.const-fold") seq);
+  Alcotest.(check (list (pair string int))) "2-domain totals equal sequential" seq par
+
+let test_fired_repeatable () =
+  let f = fired_func () in
+  let first = fired_counts (run_observed f) in
+  Alcotest.(check bool) "and-self fires" true (List.mem_assoc "rules.fired.and-self" first);
+  Alcotest.(check (list (pair string int)))
+    "a second run reports the same counts" first
+    (fired_counts (run_observed f))
+
 let test_rules_off_config () =
   (* With the catalog disabled the And-idempotence congruence disappears
      (x & x stays its own class) but the run still succeeds. *)
@@ -268,6 +309,9 @@ let suite =
     Alcotest.test_case "ten-benchmark congruence differential" `Slow
       test_benchmark_differential;
     Alcotest.test_case "rule firings surface as Obs counters" `Quick test_fired_counters;
+    Alcotest.test_case "fire totals: 2-domain pool equals sequential" `Quick
+      test_fired_parallel_matches_sequential;
+    Alcotest.test_case "fire counts repeat on one domain" `Quick test_fired_repeatable;
     Alcotest.test_case "Config.rules = false disables the catalog" `Quick
       test_rules_off_config;
   ]

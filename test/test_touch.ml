@@ -196,11 +196,13 @@ let run_fingerprints config f =
       Buffer.add_string w "diverged"
   | st ->
       let s = st.Pgvn.State.stats in
+      let count p = List.length (List.filter p s.claims) in
       Printf.bprintf b "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" s.Pgvn.Run_stats.passes
         s.instrs_processed s.instr_touches s.block_touches s.touch_slots
         s.phi_predication_visits s.class_moves s.table_probes s.table_hits
         s.pred_closure_queries s.pred_decided_true s.pred_decided_false s.pred_contradictions
-        (List.length s.inferences) (List.length s.pred_inferences);
+        (count (fun c -> c.Pgvn.Run_stats.by <> Pgvn.Run_stats.Closure))
+        (count (fun c -> c.Pgvn.Run_stats.by = Pgvn.Run_stats.Closure));
       Printf.bprintf w "%d %d" s.value_inference_visits s.predicate_inference_visits;
       let ni = Ir.Func.num_instrs f in
       let least = Hashtbl.create 64 in

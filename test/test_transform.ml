@@ -351,6 +351,77 @@ let test_critical_edge_pinned () =
     "rebuild digest" "493eb279d8d0eb3484137c128cfce9f6"
     (Digest.to_hex (Digest.string (critical_edge_text ())))
 
+(* Blocks no edge from the entry reaches, beside an entry holding a dead
+   value: b1 with no predecessor (`v3 = const 3; v4 = const 4; return v3`)
+   and, in [`Cycle], a loop of its own that reads the entry's parameter.
+   [`Guarded] adds an equality-guarded region for Briggs's prepass. The
+   RPO lacks these blocks, so every pass must leave them out: a GVN run
+   that marked or touched one, or touched a user in one, never converged,
+   or kept b1 for the rewrite, whose copy then read v3 before any
+   definition, as DCE's, LVN's and Briggs's copies did. *)
+let orphan_func shape =
+  let module B = Ir.Builder in
+  let bld = B.create ~name:"orphan" ~nparams:1 in
+  let b0 = B.add_block bld and b1 = B.add_block bld in
+  let v0 = B.param bld b0 0 in
+  ignore (B.binop bld b0 Ir.Types.Add v0 v0);
+  (match shape with
+  | `Guarded ->
+      let b2 = B.add_block bld and b3 = B.add_block bld in
+      ignore (B.branch bld b0 (B.cmp bld b0 Ir.Types.Eq v0 (B.const bld b0 5)) ~ift:b2 ~iff:b3);
+      B.ret bld b2 v0;
+      B.ret bld b3 v0
+  | `Plain | `Cycle -> B.ret bld b0 v0);
+  let v3 = B.const bld b1 3 in
+  ignore (B.const bld b1 4);
+  B.ret bld b1 v3;
+  if shape = `Cycle then begin
+    let c1 = B.add_block bld and c2 = B.add_block bld and c3 = B.add_block bld in
+    let p = B.phi bld c1 in
+    let q = B.binop bld c1 Ir.Types.Add p v0 in
+    ignore (B.branch bld c1 (B.cmp bld c1 Ir.Types.Lt q v0) ~ift:c2 ~iff:c3);
+    B.set_phi_arg bld ~phi:p ~edge:(B.jump bld c2 ~dst:c1) q;
+    B.ret bld c3 q
+  end;
+  B.finish bld
+
+let test_orphan_blocks () =
+  let presets =
+    ("extended", Pgvn.Config.full_extended)
+    :: List.map
+         (fun name -> (name, Result.get_ok (Cli.Cli_options.preset_of_string name)))
+         Cli.Cli_options.preset_names
+  in
+  List.iter
+    (fun (sname, shape) ->
+      let f = orphan_func shape in
+      let agree what g =
+        let what = sname ^ ": " ^ what in
+        let ds = Check.run_all g in
+        if Check.has_errors ds then
+          Alcotest.failf "%s: %a" what Fmt.(list ~sep:sp Check.Diagnostic.pp) ds;
+        List.iter
+          (fun x ->
+            if not (Ir.Interp.equal_result (Ir.Interp.run f [| x |]) (Ir.Interp.run g [| x |]))
+            then Alcotest.failf "%s: output differs on %d" what x)
+          [ -3; 0; 5 ]
+      in
+      agree "input" f;
+      List.iter
+        (fun (name, config) ->
+          List.iter
+            (fun (vname, variant) ->
+              let config = { config with Pgvn.Config.variant } in
+              agree (name ^ "/" ^ vname) (Transform.Apply.rebuild (Pgvn.Driver.run config f) f))
+            [ ("practical", Pgvn.Config.Practical); ("complete", Pgvn.Config.Complete) ])
+        presets;
+      agree "dce" (Transform.Dce.run f);
+      agree "lvn" (Transform.Lvn.run f);
+      agree "simplify-cfg" (Transform.Simplify_cfg.fixpoint f);
+      agree "gcm" (Transform.Gcm.apply (Transform.Gcm.plan f));
+      agree "briggs" (Baselines.Briggs_prepass.run f))
+    [ ("plain", `Plain); ("guarded", `Guarded); ("cycle", `Cycle) ]
+
 (* A keep-everything copy: every block, every instruction in place, every
    terminator as it is. *)
 let copy_all g =
@@ -403,6 +474,7 @@ let suite =
     Alcotest.test_case "kind_seconds matches on kind, not display name" `Quick
       test_kind_seconds_ignores_display_names;
     Alcotest.test_case "rebuilding passes are pinned" `Quick test_rebuilds_pinned;
+    Alcotest.test_case "blocks the entry does not reach, every pass" `Quick test_orphan_blocks;
     QCheck_alcotest.to_alcotest prop_copy_reproduces;
     Alcotest.test_case "rebuilds keep a critical edge's φ argument" `Quick
       test_critical_edge_pinned;

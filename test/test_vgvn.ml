@@ -78,6 +78,7 @@ let test_rule_skip_is_exact () =
       bunop = (fun _ _ -> None);
       bbinop = (fun _ _ _ -> None);
       reduce = (fun _ -> None);
+      fired = ignore;
     }
   in
   let table = Rules.Engine.compile Rules.Catalog.all in

@@ -101,9 +101,13 @@ let walk_mismatch (st : Pgvn.State.t) =
       List.iter
         (fun c ->
           let atom = Pgvn.Driver.eval_operand st b c in
-          st.stats.Pgvn.Run_stats.inferences <- [];
+          st.stats.Pgvn.Run_stats.claims <- [];
           let gt, gf = Pgvn.Driver.branch_predicates st b atom in
-          let got_claims = List.rev st.stats.Pgvn.Run_stats.inferences in
+          let got_claims =
+            List.filter
+              (fun c -> c.Pgvn.Run_stats.by <> Pgvn.Run_stats.Closure)
+              (List.rev st.stats.Pgvn.Run_stats.claims)
+          in
           let (wt, wf), want_claims = Walk_oracle.branch_predicates st b atom in
           if !first = None && not (opt_equal gt wt && opt_equal gf wf) then
             first :=

@@ -45,6 +45,7 @@ let rules_subject : orep Rules.Engine.subject =
     bunop = (fun _ _ -> None);
     bbinop = (fun _ _ _ -> None);
     reduce = (fun _ -> None);
+    fired = ignore;
   }
 
 (* The value a round assigns an instruction: an existing class, a fresh
@@ -149,7 +150,7 @@ let number f arena order (block_reach : bool array) (edge_reach : bool array)
          would need a fresh compound expression is declined (the oracle
          has no expression language — only numbers and constants). *)
       match
-        Rules.Engine.rewrite_binop (Rules.Engine.shared ()) rules_subject op
+        Rules.Engine.rewrite_binop Rules.Engine.shared rules_subject op
           { onum = ra; ocst = cst a }
           { onum = rb; ocst = cst b }
       with

@@ -94,9 +94,7 @@ let claim ~block ~edge ~op a b verdict =
     | _ -> None
   in
   match (atom a, atom b) with
-  | Some inf_a, Some inf_b ->
-      [ { Pgvn.Run_stats.inf_block = block; inf_edge = edge; inf_op = op; inf_a; inf_b;
-          inf_verdict = verdict } ]
+  | Some a, Some b -> [ { Pgvn.Run_stats.block; by = Edge edge; op; a; b; verdict } ]
   | _ -> []
 
 (* Infer value of predicate, one query per walk: the result and the claim
