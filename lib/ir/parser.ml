@@ -115,18 +115,21 @@ and parse_args st =
     in
     loop []
 
-let rec parse_stmt st : Ast.stmt =
+(* [in_loop]: a [while] encloses the statement. A switch is no break
+   target, so [break] and [continue] need a loop, and an error names the
+   keyword's position. *)
+let rec parse_stmt ~in_loop st : Ast.stmt =
   match peek st with
   | KW_IF ->
       advance st;
       expect st LPAREN "expected '(' after if";
       let cond = parse_expr st in
       expect st RPAREN "expected ')'";
-      let then_ = parse_block_or_stmt st in
+      let then_ = parse_block_or_stmt ~in_loop st in
       let else_ =
         if peek st = KW_ELSE then begin
           advance st;
-          parse_block_or_stmt st
+          parse_block_or_stmt ~in_loop st
         end
         else []
       in
@@ -141,7 +144,7 @@ let rec parse_stmt st : Ast.stmt =
       let default = ref None in
       let parse_case_body () =
         expect st LBRACE "expected '{' after case label";
-        let body = parse_stmts st in
+        let body = parse_stmts ~in_loop st in
         expect st RBRACE "expected '}'";
         body
       in
@@ -190,16 +193,14 @@ let rec parse_stmt st : Ast.stmt =
       expect st LPAREN "expected '(' after while";
       let cond = parse_expr st in
       expect st RPAREN "expected ')'";
-      let body = parse_block_or_stmt st in
+      let body = parse_block_or_stmt ~in_loop:true st in
       Ast.Swhile (cond, body)
-  | KW_BREAK ->
+  | (KW_BREAK | KW_CONTINUE) as kw ->
+      if not in_loop then
+        raise (Error (Lexer.string_of_token kw ^ " outside a loop", peek_offset st));
       advance st;
       expect st SEMI "expected ';'";
-      Ast.Sbreak
-  | KW_CONTINUE ->
-      advance st;
-      expect st SEMI "expected ';'";
-      Ast.Scontinue
+      if kw = KW_BREAK then Ast.Sbreak else Ast.Scontinue
   | KW_RETURN ->
       advance st;
       let e = parse_expr st in
@@ -213,20 +214,20 @@ let rec parse_stmt st : Ast.stmt =
       Ast.Sassign (name, e)
   | _ -> err st "expected statement"
 
-and parse_block_or_stmt st : Ast.stmt list =
+and parse_block_or_stmt ~in_loop st : Ast.stmt list =
   if peek st = LBRACE then begin
     advance st;
-    let stmts = parse_stmts st in
+    let stmts = parse_stmts ~in_loop st in
     expect st RBRACE "expected '}'";
     stmts
   end
-  else [ parse_stmt st ]
+  else [ parse_stmt ~in_loop st ]
 
-and parse_stmts st =
+and parse_stmts ~in_loop st =
   let rec loop acc =
     match peek st with
     | RBRACE | EOF -> List.rev acc
-    | _ -> loop (parse_stmt st :: acc)
+    | _ -> loop (parse_stmt ~in_loop st :: acc)
   in
   loop []
 
@@ -260,7 +261,7 @@ let parse_routine st : Ast.routine =
       loop []
   in
   expect st LBRACE "expected '{'";
-  let body = parse_stmts st in
+  let body = parse_stmts ~in_loop:false st in
   expect st RBRACE "expected '}'";
   { Ast.name; params; body }
 

@@ -590,6 +590,30 @@ let test_duplicate_default () =
         (path ^ ":1:49: parse error: duplicate default label (found default)\n") err)
     [ []; [ "--run"; "5" ] ]
 
+(* [break] or [continue] with no enclosing while is a parse error at the
+   keyword, in batch mode and under --serve, which answers the frame with
+   status '2' and keeps serving. *)
+let test_break_outside_loop () =
+  let brk = "routine ok(a) { return a; }\nroutine bad(a) {\n  x = a;\n  break;\n  return x;\n}\n" in
+  let cont = "routine f(a) {\n  switch (a) { case 1: { continue; } }\n  return a;\n}\n" in
+  List.iter
+    (fun (name, src, diag) ->
+      let path = write_tmp name src in
+      let code, err = run_stderr [ path ] in
+      Alcotest.(check int) "exits 2" 2 code;
+      Alcotest.(check string) "diagnostic" (path ^ diag) err)
+    [
+      ("break_outside.mc", brk, ":4:3: parse error: break outside a loop\n");
+      ("continue_in_switch.mc", cont, ":2:26: parse error: continue outside a loop\n");
+    ];
+  let good = "routine g(a) { return a + 1; }\n" in
+  let code, resp, _ = serve_stdin (frame good ^ frame brk ^ frame good) in
+  Alcotest.(check (list string)) "statuses good / bad / good" [ "0"; "2"; "0" ]
+    (List.map (fun r -> String.sub r 0 1) resp);
+  Alcotest.(check string) "the error payload"
+    "2<stdin>:4:3: parse error: break outside a loop\n" (List.nth resp 1);
+  Alcotest.(check int) "serve exits 2" 2 code
+
 let suite =
   [
     Alcotest.test_case "exit 0 on clean runs" `Quick test_exit_clean;
@@ -632,4 +656,6 @@ let suite =
       Alcotest.test_case "duplicate parameter names are a parse error" `Quick test_duplicate_param;
       Alcotest.test_case "duplicate default labels are a parse error" `Quick
         test_duplicate_default;
+      Alcotest.test_case "break and continue outside a loop are parse errors" `Quick
+        test_break_outside_loop;
     ]

@@ -163,6 +163,29 @@ let test_parser_duplicate_default () =
   | { Ir.Ast.body = [ Ir.Ast.Sswitch (_, [ (1, []) ], []); _ ]; _ } -> ()
   | _ -> Alcotest.fail "one empty default parses"
 
+(* [break] and [continue] need an enclosing while: a switch is no break
+   target. The error sits at the keyword. *)
+let test_parser_break_outside_loop () =
+  List.iter
+    (fun (src, want) ->
+      match Ir.Parser.parse_program src with
+      | exception Ir.Parser.Error (msg, off) -> Alcotest.(check (pair string int)) src want (msg, off)
+      | _ -> Alcotest.failf "%s: must be rejected" src)
+    [
+      ("routine bad(a) { break; return a; }", ("break outside a loop", 17));
+      ("routine f(a) { switch (a) { case 1: { continue; } } return a; }", ("continue outside a loop", 38));
+      ("routine f(a) { while (a > 0) { a = a - 1; } break; return a; }", ("break outside a loop", 44));
+      ("routine f(a) { switch (a) { case 1: { r = a; break; } } return a; }", ("break outside a loop", 45));
+    ];
+  (* Inside a loop, a switch's break targets the loop. *)
+  match
+    Ir.Parser.parse_one
+      "routine f(a) { while (a > 0) { switch (a) { case 1: { break; } } if (a) { continue; } } \
+       return a; }"
+  with
+  | { Ir.Ast.body = [ Ir.Ast.Swhile (_, [ Ir.Ast.Sswitch (_, [ (1, [ Ir.Ast.Sbreak ]) ], []); _ ]); _ ]; _ } -> ()
+  | _ -> Alcotest.fail "break and continue inside a loop parse"
+
 let test_validate_catches_errors () =
   (* A phi with the wrong argument count must be rejected. *)
   let bld = Ir.Builder.create ~name:"bad" ~nparams:0 in
@@ -445,4 +468,6 @@ let suite =
       test_validate_operand_messages;
     Alcotest.test_case "parser: duplicate parameter names" `Quick test_parser_duplicate_params;
     Alcotest.test_case "parser: duplicate default labels" `Quick test_parser_duplicate_default;
+    Alcotest.test_case "parser: break and continue outside a loop" `Quick
+      test_parser_break_outside_loop;
   ]

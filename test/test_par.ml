@@ -1,11 +1,12 @@
-(* The parallel compilation service (lib/par): the domain pool's batch
-   semantics (input order, leftmost exception, no task holding back its
-   batch, back-to-back batches), the corpus-wide determinism pin (parallel
-   and sequential runs must render byte-identical output and merge to the
-   same metrics), the content-addressed result cache's keys and its two
-   tiers, and the two-domain regression for the state every domain
-   shares (Rules.Engine's immutable compiled table) or keeps to itself
-   (Infer's fault hook). *)
+(* The parallel compilation service (lib/par and Cli.Compile): the domain
+   pool's batch semantics (input order, leftmost exception, no task
+   holding back its batch, back-to-back batches), the corpus-wide
+   determinism pin (gvnopt's request function at 1 and 3 domains must
+   render byte-identical output and merge to the same metrics), per-routine
+   containment of an internal error, the content-addressed result cache's
+   keys and its two tiers, and the two-domain regression for the state
+   every domain shares (Rules.Engine's immutable compiled table) or keeps
+   to itself (Infer's fault hook). *)
 
 let func_of_src = Helpers.func_of_src
 
@@ -127,44 +128,111 @@ let test_pool_invalid_arguments () =
       ignore (Par.Pool.map pool (fun i -> i) [| 1 |]))
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: the whole (scaled) ten-benchmark corpus, optimized end to
-   end sequentially and through a multi-domain pool, must produce
-   byte-identical rendered routines and identical merged metrics. This is
-   the library-level half of the driver's `--jobs` determinism contract. *)
+(* Determinism: the whole (scaled) ten-benchmark corpus, compiled as one
+   gvnopt request sequentially and through a multi-domain pool, must
+   render byte-identical text and merge to identical metrics. This is the
+   library-level half of the driver's `--jobs` determinism contract. *)
 
-let corpus_routines () =
-  Workload.Suite.all ~scale:0.2 ()
-  |> List.concat_map (fun (_, fs) -> fs)
-  |> Array.of_list
+(* gvnopt's options with no flag given. *)
+let default_opts =
+  {
+    Cli.Compile.config = Cli.Cli_options.apply_toggles Cli.Cli_options.no_toggles Pgvn.Config.full;
+    pruning = Ssa.Construct.Semi_pruned;
+    action = Optimize;
+    stats = false;
+    dump_input = false;
+    run_args = None;
+    check = false;
+    lint = false;
+    werror = false;
+    validate = None;
+    gcm = None;
+  }
 
-let optimize_and_render f =
-  let o = Obs.create () in
-  let g = Helpers.optimize Pgvn.Config.full f in
-  Obs.add o "par.test.routines" 1;
-  Obs.add o "par.test.instrs" (Ir.Func.num_instrs g);
-  (Ir.Printer.to_string g, o)
+(* Workload.Suite's routines at scale 0.2, as mini-C text. A suite name
+   such as "176.gcc" is no identifier, so routines are named by seed. *)
+let corpus_source () =
+  Workload.Suite.benchmarks
+  |> List.concat_map (fun (b : Workload.Suite.benchmark) ->
+         List.init (max 1 (b.routines / 5)) (fun k ->
+             let profile =
+               {
+                 Workload.Generator.default_profile with
+                 stmt_budget = b.stmt_budget + (k mod 7 * 5);
+                 params = 3 + (k mod 3);
+               }
+             in
+             Workload.Generator.routine ~profile ~seed:((b.seed * 10_000) + k)
+               ~name:(Printf.sprintf "b%d_r%03d" b.seed k) ()))
+  |> List.map (Fmt.str "%a@." Ir.Ast.pp_routine)
+  |> String.concat ""
+
+(* The merged metrics report, less the latency percentiles: a histogram
+   keeps its name and observation count. *)
+let metrics_report obs =
+  Str.global_replace (Str.regexp " p50<=.*$") "" (Fmt.str "%a" Obs.pp_metrics obs)
 
 let test_corpus_determinism () =
-  let routines = corpus_routines () in
-  Alcotest.(check bool) "corpus is non-trivial" true (Array.length routines > 50);
-  let seq = Array.map optimize_and_render routines in
-  let par =
-    Par.Pool.with_pool ~domains:3 (fun pool -> Par.Pool.map pool optimize_and_render routines)
+  let src = corpus_source () in
+  let run domains =
+    let obs = Obs.create () in
+    match
+      Par.Pool.with_pool ~domains (fun pool ->
+          Cli.Compile.request ~opts:default_opts ~pool ~cache:(Par.Ccache.create ())
+            ~obs:(Some obs) ~path:"corpus.mc" src)
+    with
+    | Ok (status, text) -> (status, text, metrics_report obs)
+    | Error diag -> Alcotest.fail diag
   in
-  Array.iteri
-    (fun i (text, _) ->
-      let ptext, _ = par.(i) in
-      if not (String.equal text ptext) then
+  let status, text, metrics = run 1 in
+  let pstatus, ptext, pmetrics = run 3 in
+  let sections t = List.tl (Str.split_delim (Str.regexp_string "=== ") t) in
+  Alcotest.(check int) "corpus is non-trivial" 66 (List.length (sections text));
+  Alcotest.(check (pair int int)) "clean at 1 and 3 domains" (0, 0) (status, pstatus);
+  List.iteri
+    (fun i (a, b) ->
+      if not (String.equal a b) then
         Alcotest.failf "routine %d: parallel output diverges from sequential" i)
-    seq;
+    (List.combine (sections text) (sections ptext));
+  Alcotest.(check string) "rendered text identical" text ptext;
   (* Per-routine contexts merged in input order: the aggregate report must
      not depend on which domain ran which routine. *)
-  let merged results =
-    let dst = Obs.create () in
-    Array.iter (fun (_, o) -> Obs.merge_into ~dst o) results;
-    Fmt.str "%a" Obs.pp_metrics dst
+  Alcotest.(check bool) "metrics were recorded" true (String.length metrics > 0);
+  Alcotest.(check string) "merged metrics reports identical" metrics pmetrics
+
+(* An exception that escapes one routine's compile becomes that routine's
+   text with status 2; it is not cached, every other routine is rendered
+   in input order, and the next request is answered. The parser rejects a
+   top-level break, so the routine is built directly; lowering raises. *)
+let test_routine_error_contained () =
+  let bad =
+    { Ir.Ast.name = "bad"; params = [ "a" ]; body = [ Ir.Ast.Sbreak; Ir.Ast.Sreturn (Ir.Ast.Evar "a") ] }
   in
-  Alcotest.(check string) "merged metrics reports identical" (merged seq) (merged par)
+  let good_src = "routine good(a) { return a + 1; }\n" in
+  let good = Ir.Parser.parse_one good_src in
+  let compile ~pool ~cache routines =
+    Cli.Compile.compile_routines ~opts:default_opts ~pool ~cache ~obs:(Some (Obs.create ())) routines
+  in
+  let good_text =
+    Par.Pool.with_pool ~domains:1 (fun pool -> snd (compile ~pool ~cache:(Par.Ccache.create ()) [ good ]))
+  in
+  List.iter
+    (fun domains ->
+      Par.Pool.with_pool ~domains (fun pool ->
+          let cache = Par.Ccache.create () in
+          let status, text = compile ~pool ~cache [ bad; good ] in
+          Alcotest.(check int) "worst status" 2 status;
+          Alcotest.(check string) "the failed routine's text, then the good routine's"
+            ("=== bad ===\nbad (internal): Failure(\"Lower: break outside loop\")\n" ^ good_text)
+            text;
+          Alcotest.(check int) "only the good routine is cached" 1
+            (Par.Ccache.stats cache).Par.Ccache.entries;
+          match
+            Cli.Compile.request ~opts:default_opts ~pool ~cache ~obs:None ~path:"<stdin>" good_src
+          with
+          | Ok response -> Alcotest.(check (pair int string)) "the next request" (0, good_text) response
+          | Error diag -> Alcotest.fail diag))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Two-domain pipeline regression: Rules.Engine's compiled table, which
@@ -430,6 +498,7 @@ let suite =
       test_pool_reuse_after_exception;
     Alcotest.test_case "pool argument and lifecycle errors" `Quick test_pool_invalid_arguments;
     Alcotest.test_case "parallel == sequential over the corpus" `Slow test_corpus_determinism;
+    Alcotest.test_case "an internal error stays in its routine" `Quick test_routine_error_contained;
     Alcotest.test_case "two raw domains match the sequential pipeline" `Quick
       test_two_domain_pipeline_matches_sequential;
     Alcotest.test_case "keys keep semantic differences" `Quick test_ccache_keys_distinguish;
