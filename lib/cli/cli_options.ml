@@ -89,8 +89,7 @@ let parse_obs_args args =
 
 let wants o = o.trace_file <> None || o.metrics
 
-let obs_of ?(force = false) o =
-  if force || wants o then Some (Obs.create ()) else None
+let obs_of o = if wants o then Some (Obs.create ()) else None
 
 let finish o obs =
   match obs with

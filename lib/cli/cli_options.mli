@@ -42,9 +42,9 @@ val parse_obs_args : string list -> obs_opts * string list
     list (for the bench harness's hand-rolled parser), returning the
     recognized options and the remaining arguments. *)
 
-val obs_of : ?force:bool -> obs_opts -> Obs.t option
-(** The context the options call for: [Some] when any flag is set (or
-    [~force:true], for harnesses that always measure), else [None]. *)
+val obs_of : obs_opts -> Obs.t option
+(** The context the options call for: [Some] when any flag is set, else
+    [None]. *)
 
 val finish : obs_opts -> Obs.t option -> unit
 (** The end-of-run half of the lifecycle: write the Chrome trace to

@@ -60,8 +60,5 @@ let totals t =
 
 let pp_summary ppf t =
   let s = totals t in
-  Fmt.pf ppf
-    "%d witnesses: %d certified, %d precision wins, %d rejected | %d equiv runs, %d \
-     mismatches | overhead %.4fs"
+  Fmt.pf ppf "%d witnesses: %d certified, %d precision wins, %d rejected | %d equiv runs, %d mismatches"
     s.witnesses s.certified s.unproven s.rejected s.equiv_runs s.mismatches
-    (overhead_seconds t)

@@ -425,7 +425,7 @@ let test_cache_round_trip () =
    for byte. Snapshots live in test/golden/NAME.out; after an intended
    output change, regenerate them with
      GVNOPT_GOLDEN_DIR=$PWD/test/golden dune test --force
-   and review the diff. Validation overhead is wall time, so it is masked. *)
+   and review the diff. *)
 
 let golden_sets =
   [
@@ -461,8 +461,7 @@ let golden_inputs () =
 
 let golden_run args =
   let code, out = run_capture (args @ golden_inputs ()) in
-  Printf.sprintf "exit %d\n%s" code
-    (Str.global_replace (Str.regexp "overhead [0-9.]+s") "overhead N.NNNNs" out)
+  Printf.sprintf "exit %d\n%s" code out
 
 let test_golden (name, args) () =
   let got = golden_run args in
