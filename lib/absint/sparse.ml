@@ -108,7 +108,7 @@ module Make (D : Domain.TRANSFER) = struct
       if not (D.equal next facts.(v)) then begin
         bumps.(v) <- bumps.(v) + 1;
         facts.(v) <- (if bumps.(v) > fuse then D.top else next);
-        Array.iter (fun u -> Queue.add u ssa_work) def_use.(v)
+        Ir.Func.iter_users def_use v (fun u -> Queue.add u ssa_work)
       end
     in
     let env b v = refine_at_block refinement b v facts.(v) in

@@ -36,7 +36,7 @@ let run (f : Ir.Func.t) : result =
     let m = meet value.(v) l in
     if not (equal_lattice m value.(v)) then begin
       value.(v) <- m;
-      Array.iter (fun u -> Queue.add u ssa_work) def_use.(v)
+      Ir.Func.iter_users def_use v (fun u -> Queue.add u ssa_work)
     end
   in
   let eval_instr i =

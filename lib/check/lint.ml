@@ -180,11 +180,11 @@ let run (f : Ir.Func.t) : Diagnostic.t list =
   Array.iteri
     (fun i ins ->
       if defines_value ins && exec (block_of_instr f i) && live.(i) then
-        let users = du.(i) in
-        if
-          Array.length users > 0
-          && Array.for_all (fun u -> not (exec (block_of_instr f u))) users
-        then
+        let used = ref false and used_live = ref false in
+        iter_users du i (fun u ->
+            used := true;
+            if exec (block_of_instr f u) then used_live := true);
+        if !used && not !used_live then
           add
             (Diagnostic.info ~check:"lint-dead-store" ~loc:(Diagnostic.Instr i)
                "v%d is only used by code that can never execute" i))

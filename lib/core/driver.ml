@@ -126,8 +126,9 @@ let infer_value_at_block st b0 atom =
         done;
         (match !found_const with
         | Some c -> c
-        | None -> (
-            match leader_atom st !v with Some a -> a | None -> Hexpr.value st.arena !v))
+        | None ->
+            let a = leader_atom st !v in
+            if Hexpr.is_bot a then Hexpr.value st.arena !v else a)
     | _ -> atom
 
 (* Figure 7, Infer value at edge: used for φ arguments, which are "used at
@@ -141,8 +142,9 @@ let infer_value_at_edge st e atom =
         | Some x -> (
             match Hexpr.node x with
             | Hexpr.Const _ -> x
-            | Hexpr.Value w -> (
-                match leader_atom st w with Some a -> a | None -> x)
+            | Hexpr.Value w ->
+                let a = leader_atom st w in
+                if Hexpr.is_bot a then x else a
             | _ -> infer_value_at_block st (Ir.Func.edge st.f e).Ir.Func.src atom)
         | None -> infer_value_at_block st (Ir.Func.edge st.f e).Ir.Func.src atom)
     | _ -> atom
@@ -292,19 +294,19 @@ let open_query st p =
    otherwise. *)
 let collect_default_edge st q e =
   match st.switch_default.(e) with
-  | Some (c, cases) -> (
-      match leader_atom st c with
-      | Some scrut ->
-          let rel_a = atoms_congruent st scrut q.qa and rel_b = atoms_congruent st scrut q.qb in
-          if rel_a || rel_b then begin
-            Array.iter
-              (fun k -> q.facts <- (Ir.Types.Ne, scrut, Hexpr.const st.arena k) :: q.facts)
-              cases;
-            q.untried <- true;
-            if rel_a then q.mention_a <- true;
-            if rel_b then q.mention_b <- true
-          end
-      | None -> ())
+  | Some (c, cases) ->
+      let scrut = leader_atom st c in
+      if not (Hexpr.is_bot scrut) then begin
+        let rel_a = atoms_congruent st scrut q.qa and rel_b = atoms_congruent st scrut q.qb in
+        if rel_a || rel_b then begin
+          Array.iter
+            (fun k -> q.facts <- (Ir.Types.Ne, scrut, Hexpr.const st.arena k) :: q.facts)
+            cases;
+          q.untried <- true;
+          if rel_a then q.mention_a <- true;
+          if rel_b then q.mention_b <- true
+        end
+      end
   | None -> ()
 
 (* A decided claim, when both query operands are atoms. *)
@@ -397,8 +399,6 @@ let walk_queries st b0 qs =
         | None -> ())
     qs
 
-let result p = function Some q -> q.result | None -> p
-
 let infer_predicate st b0 p =
   match open_query st p with
   | None -> p
@@ -406,77 +406,91 @@ let infer_predicate st b0 p =
       walk_queries st b0 [ q ];
       q.result
 
-(* Both polarities of a branch, in one walk. *)
+(* Both polarities of a branch, in one walk, into [st.branch_preds]. *)
 let infer_predicate_pair st b0 pt pf =
+  let bp = st.branch_preds in
+  bp.(0) <- pt;
+  bp.(1) <- pf;
   match (open_query st pt, open_query st pf) with
-  | None, None -> (pt, pf)
-  | qt, qf ->
-      walk_queries st b0 (List.filter_map Fun.id [ qt; qf ]);
-      (result pt qt, result pf qf)
+  | None, None -> ()
+  | Some qt, None ->
+      walk_queries st b0 [ qt ];
+      bp.(0) <- qt.result
+  | None, Some qf ->
+      walk_queries st b0 [ qf ];
+      bp.(1) <- qf.result
+  | Some qt, Some qf ->
+      walk_queries st b0 [ qt; qf ];
+      bp.(0) <- qt.result;
+      bp.(1) <- qf.result
 
 (* The leader atom of an operand with value inference applied (what the
-   paper's symbolic evaluation substitutes for each operand). [None] while
-   the operand is still ⊥ (INITIAL). *)
-let eval_operand st b v =
-  match leader_atom st v with
-  | None -> None
-  | Some atom -> Some (infer_value_at_block st b atom)
+   paper's symbolic evaluation substitutes for each operand). [Hexpr.bot]
+   while the operand is still ⊥ (INITIAL). *)
+let operand st b v =
+  let atom = leader_atom st v in
+  if Hexpr.is_bot atom then atom else infer_value_at_block st b atom
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic evaluation of instructions (Figure 4).                     *)
 
-let rank_fn st v = st.rank.(v)
-
-(* Terms of an atom, forward-propagating the defining expression of its
-   congruence class when global reassociation is on. *)
-let atom_terms ~propagate st atom =
+(* The terms of an operand, appended to the arena's term buffer: the
+   defining sum of its congruence class when global reassociation
+   forward-propagates it, else the atom's own. *)
+let push_operand_terms ~propagate st atom =
   match Hexpr.node atom with
   | Hexpr.Value v when propagate -> (
       match (cls st st.class_of.(v)).expr with
       | Some e -> (
           match Hexpr.node e with
-          | Hexpr.Sum ts -> ts
-          | _ -> Hexpr.terms_of_atom atom)
-      | None -> Hexpr.terms_of_atom atom)
-  | _ -> Hexpr.terms_of_atom atom
+          | Hexpr.Sum ts -> Hexpr.terms_list st.arena ts
+          | _ -> Hexpr.terms_atom st.arena atom)
+      | None -> Hexpr.terms_atom st.arena atom)
+  | _ -> Hexpr.terms_atom st.arena atom
 
-let eval_arith st (kind : [ `Add | `Sub | `Mul | `Neg ]) atoms =
+(* [x kind y] as a term run in the arena's buffer, from an empty buffer;
+   [y] is ignored for [`Neg]. Returns the run's first slot. *)
+let arith_terms ~propagate st (kind : [ `Add | `Sub | `Mul | `Neg ]) x y =
+  let a = st.arena in
+  Hexpr.terms_reset a;
+  let a0 = push_operand_terms ~propagate st x in
+  match kind with
+  | `Neg ->
+      Hexpr.terms_negate a a0;
+      a0
+  | `Add -> Hexpr.terms_add a st.rank_of a0 (push_operand_terms ~propagate st y) ~neg:false
+  | `Sub -> Hexpr.terms_add a st.rank_of a0 (push_operand_terms ~propagate st y) ~neg:true
+  | `Mul -> Hexpr.terms_mul a st.rank_of a0 (push_operand_terms ~propagate st y)
+
+let eval_arith st (kind : [ `Add | `Sub | `Mul | `Neg ]) x y =
   let cfg = st.config in
-  let rank = rank_fn st in
   if cfg.Config.algebraic_simplification then begin
-    let build ~propagate =
-      let ts = List.map (atom_terms ~propagate st) atoms in
-      match (kind, ts) with
-      | `Add, [ a; b ] -> Hexpr.merge_terms rank a b
-      | `Sub, [ a; b ] -> Hexpr.merge_terms rank a (Hexpr.negate_terms b)
-      | `Mul, [ a; b ] -> Hexpr.mul_terms rank a b
-      | `Neg, [ a ] -> Hexpr.negate_terms a
-      | _ -> invalid_arg "eval_arith"
-    in
     let propagate = cfg.Config.reassociation in
-    let ts = build ~propagate in
-    let ts =
-      if propagate && Hexpr.size_of_terms ts > cfg.Config.propagation_limit then
-        build ~propagate:false
-      else ts
+    let r = arith_terms ~propagate st kind x y in
+    let r =
+      if propagate && Hexpr.terms_size st.arena r > cfg.Config.propagation_limit then
+        arith_terms ~propagate:false st kind x y
+      else r
     in
-    Hexpr.of_terms st.arena ts
+    Hexpr.terms_intern st.arena r
   end
   else
-    let op : Hexpr.opsym =
-      match kind with
-      | `Add -> Hexpr.Ubop Ir.Types.Add
-      | `Sub -> Hexpr.Ubop Ir.Types.Sub
-      | `Mul -> Hexpr.Ubop Ir.Types.Mul
-      | `Neg -> Hexpr.Uuop Ir.Types.Neg
-    in
-    match (cfg.Config.constant_folding, op, List.map Hexpr.node atoms) with
-    | true, Hexpr.Ubop bop, [ Hexpr.Const a; Hexpr.Const b ]
-      when not (Ir.Types.binop_can_trap bop a b) ->
+    let bop = match kind with `Add -> Ir.Types.Add | `Sub -> Ir.Types.Sub | `Mul | `Neg -> Ir.Types.Mul in
+    match (kind, Hexpr.node x, Hexpr.node y) with
+    | `Neg, Hexpr.Const a, _ when cfg.Config.constant_folding ->
+        Hexpr.const st.arena (Ir.Types.eval_unop Ir.Types.Neg a)
+    | (`Add | `Sub | `Mul), Hexpr.Const a, Hexpr.Const b
+      when cfg.Config.constant_folding && not (Ir.Types.binop_can_trap bop a b) ->
         Hexpr.const st.arena (Ir.Types.eval_binop bop a b)
-    | true, Hexpr.Uuop uop, [ Hexpr.Const a ] ->
-        Hexpr.const st.arena (Ir.Types.eval_unop uop a)
-    | _ -> Hexpr.op_ st.arena op atoms (* syntactic: no commutative reordering *)
+    | _ -> (
+        (* syntactic: no commutative reordering *)
+        Hexpr.clear_args st.arena;
+        Hexpr.push_arg st.arena x;
+        match kind with
+        | `Neg -> Hexpr.op_args st.arena (Hexpr.uuop Ir.Types.Neg)
+        | `Add | `Sub | `Mul ->
+            Hexpr.push_arg st.arena y;
+            Hexpr.op_args st.arena (Hexpr.ubop bop))
 
 let eval_nonassoc_binop st op x y =
   let cfg = st.config in
@@ -485,7 +499,19 @@ let eval_nonassoc_binop st op x y =
     match (cfg.Config.constant_folding, Hexpr.node x, Hexpr.node y) with
     | true, Hexpr.Const a, Hexpr.Const b when not (Ir.Types.binop_can_trap op a b) ->
         Hexpr.const st.arena (Ir.Types.eval_binop op a b)
-    | _ -> Hexpr.op_ st.arena (Hexpr.Ubop op) [ x; y ] (* syntactic *)
+    | _ ->
+        (* syntactic *)
+        Hexpr.clear_args st.arena;
+        Hexpr.push_arg st.arena x;
+        Hexpr.push_arg st.arena y;
+        Hexpr.op_args st.arena (Hexpr.ubop op)
+
+let eval_binop st op x y =
+  match (op : Ir.Types.binop) with
+  | Add -> eval_arith st `Add x y
+  | Sub -> eval_arith st `Sub x y
+  | Mul -> eval_arith st `Mul x y
+  | op -> eval_nonassoc_binop st op x y
 
 let eval_unop st op x =
   let cfg = st.config in
@@ -493,7 +519,11 @@ let eval_unop st op x =
   else
     match (cfg.Config.constant_folding, Hexpr.node x) with
     | true, Hexpr.Const a -> Hexpr.const st.arena (Ir.Types.eval_unop op a)
-    | _ -> Hexpr.op_ st.arena (Hexpr.Uuop op) [ x ] (* syntactic *)
+    | _ ->
+        (* syntactic *)
+        Hexpr.clear_args st.arena;
+        Hexpr.push_arg st.arena x;
+        Hexpr.op_args st.arena (Hexpr.uuop op)
 
 let eval_cmp st op x y =
   match (Hexpr.node x, Hexpr.node y) with
@@ -501,7 +531,7 @@ let eval_cmp st op x y =
       Hexpr.const st.arena (Ir.Types.eval_cmp op a b)
   | _ ->
       if st.config.Config.algebraic_simplification then
-        Hexpr.cmp_atoms st.arena (rank_fn st) op x y
+        Hexpr.cmp_atoms st.arena st.rank_of op x y
       else Hexpr.cmp_ st.arena op x y
 
 (* ------------------------------------------------------------------ *)
@@ -526,21 +556,22 @@ let phi_expr_of_atom st atom =
 let table_find = Rewrite.table_find
 let atom_of_expr = Rewrite.atom_of_expr
 
-let try_phi_distribution st combine x y =
-  if not st.config.Config.phi_distribution then None
+(* The distributed φ, or [Hexpr.bot] when none applies. *)
+let try_phi_distribution st op x y =
+  if not st.config.Config.phi_distribution then Hexpr.bot
   else
     let build key pairs =
       let rec atoms acc = function
         | [] -> Some (List.rev acc)
         | (a, b) :: rest -> (
-            match atom_of_expr st (combine a b) with
+            match atom_of_expr st (eval_binop st op a b) with
             | Some atom -> atoms (atom :: acc) rest
             | None -> None)
       in
       match atoms [] pairs with
-      | None -> None
-      | Some (first :: rest) when List.for_all (Hexpr.equal first) rest -> Some first
-      | Some args -> Some (Hexpr.phi st.arena key args)
+      | None -> Hexpr.bot
+      | Some (first :: rest) when List.for_all (Hexpr.equal first) rest -> first
+      | Some args -> Hexpr.phi st.arena key args
     in
     match (phi_expr_of_atom st x, phi_expr_of_atom st y) with
     | Some (kx, xs), Some (ky, ys)
@@ -548,111 +579,128 @@ let try_phi_distribution st combine x y =
         build kx (List.combine xs ys)
     | Some (kx, xs), None when Hexpr.is_atom y -> build kx (List.map (fun a -> (a, y)) xs)
     | None, Some (ky, ys) when Hexpr.is_atom x -> build ky (List.map (fun b -> (x, b)) ys)
-    | _ -> None
+    | _ -> Hexpr.bot
+
+(* Whether φ-predication keys the φ of block [b]: the canonical order of
+   its incoming edges must cover exactly the [live] arguments gathered in
+   [st.phi_scratch]. *)
+let canonical_covers st b live =
+  let canonical = st.canonical.(b) in
+  Array.length canonical = live
+  &&
+  let k = ref 0 in
+  while !k < live && not (Hexpr.is_bot st.phi_scratch.(canonical.(!k))) do
+    incr k
+  done;
+  !k = live
 
 (* φ evaluation: drop arguments on unreachable edges and ⊥ arguments
    (optimistically top), reduce when all remaining arguments agree, and key
    the expression by the block predicate (φ-predication) or the block.
-   Canonical-order arguments are gathered through the per-edge scratch
-   array [st.phi_scratch] (all [None] between evaluations), replacing the
-   former quadratic association-list lookups. *)
+   Arguments are gathered, last edge first, into the per-edge scratch array
+   [st.phi_scratch] (all [Hexpr.bot] between evaluations), from which the
+   canonical or the block order reads them. *)
 let eval_phi st b v (args : int array) =
-  let blk = Ir.Func.block st.f b in
-  let preds = blk.Ir.Func.preds in
+  let preds = (Ir.Func.block st.f b).Ir.Func.preds in
   if st.config.Config.mode <> Config.Optimistic && has_incoming_back_edge st b then
     (* Balanced / pessimistic: a cyclic φ is a unique value (§2.6). *)
-    Some (Hexpr.self st.arena v)
+    Hexpr.self st.arena v
   else begin
-    let pairs = ref [] in
+    let live = ref 0 and first = ref Hexpr.bot and agree = ref true in
     for ix = Array.length preds - 1 downto 0 do
       let e = preds.(ix) in
-      if st.reach_edge.(e) then
-        match leader_atom st args.(ix) with
-        | None -> () (* ⊥: optimistically ignored *)
-        | Some atom -> pairs := (e, infer_value_at_edge st e atom) :: !pairs
+      if st.reach_edge.(e) then begin
+        let atom = leader_atom st args.(ix) in
+        (* ⊥: optimistically ignored *)
+        if not (Hexpr.is_bot atom) then begin
+          let x = infer_value_at_edge st e atom in
+          st.phi_scratch.(e) <- x;
+          if !live > 0 && x != !first then agree := false;
+          first := x;
+          incr live
+        end
+      end
     done;
-    match !pairs with
-    | [] -> None
-    | (_, first) :: rest when List.for_all (fun (_, a) -> Hexpr.equal first a) rest ->
-        Some first
-    | pairs ->
-        List.iter (fun (e, a) -> st.phi_scratch.(e) <- Some a) pairs;
-        let use_predicate =
-          st.config.Config.phi_predication
-          && st.pred_block.(b) <> None
-          && (* the canonical order must cover exactly the live arguments *)
-          Array.length st.canonical.(b) = List.length pairs
-          && Array.for_all (fun e -> st.phi_scratch.(e) <> None) st.canonical.(b)
-        in
-        let result =
-          if use_predicate then
-            match st.pred_block.(b) with
-            | Some p ->
-                let atoms =
-                  Array.to_list
-                    (Array.map (fun e -> Option.get st.phi_scratch.(e)) st.canonical.(b))
-                in
-                Some (Hexpr.phi st.arena (Hexpr.Kpred p) atoms)
-            | None -> assert false
-          else Some (Hexpr.phi st.arena (Hexpr.Kblock b) (List.map snd pairs))
-        in
-        List.iter (fun (e, _) -> st.phi_scratch.(e) <- None) pairs;
-        result
+    let result =
+      if !live = 0 then Hexpr.bot
+      else if !agree then !first
+      else begin
+        let a = st.arena in
+        Hexpr.clear_args a;
+        match st.pred_block.(b) with
+        | Some p when st.config.Config.phi_predication && canonical_covers st b !live ->
+            let canonical = st.canonical.(b) in
+            for k = 0 to Array.length canonical - 1 do
+              Hexpr.push_arg a st.phi_scratch.(canonical.(k))
+            done;
+            Hexpr.phi_pred_args a p
+        | _ ->
+            for ix = 0 to Array.length preds - 1 do
+              let x = st.phi_scratch.(preds.(ix)) in
+              if not (Hexpr.is_bot x) then Hexpr.push_arg a x
+            done;
+            Hexpr.phi_block_args a b
+      end
+    in
+    for ix = 0 to Array.length preds - 1 do
+      st.phi_scratch.(preds.(ix)) <- Hexpr.bot
+    done;
+    result
   end
 
 (* Figure 4, Perform symbolic evaluation: the expression an instruction
    computes, over current class leaders, after folding / simplification /
-   reassociation and predicate inference. [None] = ⊥ (no information yet:
-   some operand is still optimistically undetermined). *)
-let symbolic_eval st b v (ins : Ir.Func.instr) : Hexpr.t option =
-  let operand w = eval_operand st b w in
+   reassociation and predicate inference. [Hexpr.bot] = ⊥ (no information
+   yet: some operand is still optimistically undetermined). Operands are
+   evaluated first to last: the first evaluation of a leader interns its
+   atom, so the order fixes the arena's tags. *)
+let symbolic_eval st b v (ins : Ir.Func.instr) : Hexpr.t =
+  let bot = Hexpr.bot in
   let result =
     match ins with
-    | Ir.Func.Const n -> Some (Hexpr.const st.arena n)
-    | Ir.Func.Param _ -> Some (Hexpr.self st.arena v)
+    | Ir.Func.Const n -> Hexpr.const st.arena n
+    | Ir.Func.Param _ -> Hexpr.self st.arena v
     | Ir.Func.Phi args -> eval_phi st b v args
-    | Ir.Func.Unop (Ir.Types.Neg, a) -> (
-        match operand a with Some x -> Some (eval_arith st `Neg [ x ]) | None -> None)
     | Ir.Func.Unop (op, a) -> (
-        match operand a with Some x -> Some (eval_unop st op x) | None -> None)
-    | Ir.Func.Binop (op, a, b') -> (
-        match (operand a, operand b') with
-        | Some x, Some y -> (
-            let plain u w =
-              match op with
-              | Ir.Types.Add -> eval_arith st `Add [ u; w ]
-              | Ir.Types.Sub -> eval_arith st `Sub [ u; w ]
-              | Ir.Types.Mul -> eval_arith st `Mul [ u; w ]
-              | op -> eval_nonassoc_binop st op u w
-            in
-            match try_phi_distribution st plain x y with
-            | Some e -> Some e
-            | None -> Some (plain x y))
-        | _ -> None)
-    | Ir.Func.Cmp (op, a, b') -> (
-        match (operand a, operand b') with
-        | Some x, Some y -> Some (eval_cmp st op x y)
-        | _ -> None)
+        let x = operand st b a in
+        if Hexpr.is_bot x then bot
+        else match op with Ir.Types.Neg -> eval_arith st `Neg x x | op -> eval_unop st op x)
+    | Ir.Func.Binop (op, a, b') ->
+        let x = operand st b a in
+        let y = operand st b b' in
+        if Hexpr.is_bot x || Hexpr.is_bot y then bot
+        else
+          let d = try_phi_distribution st op x y in
+          if Hexpr.is_bot d then eval_binop st op x y else d
+    | Ir.Func.Cmp (op, a, b') ->
+        let x = operand st b a in
+        let y = operand st b b' in
+        if Hexpr.is_bot x || Hexpr.is_bot y then bot else eval_cmp st op x y
     | Ir.Func.Opaque (tag, args) ->
-        let atoms = Array.map (fun w -> operand w) args in
-        if Array.exists (fun a -> a = None) atoms then None
-        else Some (Hexpr.opq st.arena tag (Array.to_list (Array.map Option.get atoms)))
+        (* Every operand is evaluated, in order, even after a ⊥. Evaluating
+           one interns atoms only, which leaves the child buffer alone. *)
+        let a = st.arena in
+        Hexpr.clear_args a;
+        let undetermined = ref false in
+        for k = 0 to Array.length args - 1 do
+          let x = operand st b args.(k) in
+          if Hexpr.is_bot x then undetermined := true else Hexpr.push_arg a x
+        done;
+        if !undetermined then bot else Hexpr.opq_args a tag
     | Ir.Func.Jump | Ir.Func.Branch _ | Ir.Func.Switch _ | Ir.Func.Return _ -> assert false
   in
-  let result =
-    match result with
-    | Some p when Hexpr.is_predicate p && st.config.Config.predicate_inference ->
-        Some (infer_predicate st b p)
-    | r -> r
-  in
-  (* §2.9 SCCP emulation: non-constant expressions collapse to the value
-     itself — only constants and reachability are tracked. *)
-  match result with
-  | None -> result
-  | Some e -> (
-      match Hexpr.node e with
-      | Hexpr.Const _ -> result
-      | _ -> if st.config.Config.sccp_only then Some (Hexpr.self st.arena v) else result)
+  if Hexpr.is_bot result then result
+  else
+    let result =
+      if st.config.Config.predicate_inference && Hexpr.is_predicate result then
+        infer_predicate st b result
+      else result
+    in
+    (* §2.9 SCCP emulation: non-constant expressions collapse to the value
+       itself — only constants and reachability are tracked. *)
+    match Hexpr.node result with
+    | Hexpr.Const _ -> result
+    | _ -> if st.config.Config.sccp_only then Hexpr.self st.arena v else result
 
 (* ------------------------------------------------------------------ *)
 (* Congruence finding (Figure 4, lines 31–58).                         *)
@@ -660,109 +708,95 @@ let symbolic_eval st b v (ins : Ir.Func.instr) : Hexpr.t option =
 let class_for_expr st v (e : Hexpr.t) =
   match Hexpr.node e with
   | Hexpr.Value x -> cls st st.class_of.(x)
-  | Hexpr.Const n -> (
-      match table_find st e with
-      | Some cid -> cls st cid
-      | None ->
-          let c = new_class st (Lconst n) (Some e) in
-          Util.Hashcons.set_slot e c.cid;
-          c.in_table <- true;
-          c)
-  | _ -> (
-      match table_find st e with
-      | Some cid -> cls st cid
-      | None ->
-          let c = new_class st (Lvalue v) (Some e) in
-          Util.Hashcons.set_slot e c.cid;
-          c.in_table <- true;
-          c)
-
-let congruence_finding st v (e : Hexpr.t option) : bool =
-  match e with
-  | None -> false (* still ⊥: leave in INITIAL *)
-  | Some e ->
-      let c0 = cls st st.class_of.(v) in
-      let c = class_for_expr st v e in
-      if c.cid <> c0.cid || st.changed.(v) then begin
-        st.changed.(v) <- false;
-        if c.cid <> c0.cid then begin
-          st.stats.Run_stats.class_moves <- st.stats.Run_stats.class_moves + 1;
-          unlink st v;
-          link st v c;
-          if c0.size = 0 then begin
-            (match c0.expr with
-            | Some ex when c0.in_table ->
-                if Util.Hashcons.slot ex = c0.cid then Util.Hashcons.set_slot ex (-1)
-            | _ -> ());
-            c0.in_table <- false;
-            c0.leader <- Lundef;
-            c0.expr <- None
-          end
-          else if c0.leader = Lvalue v then begin
-            (* The departing value led its class: elect a new leader, touch
-               the members' definitions, and mark them CHANGED so the new
-               leader propagates to their consumers. *)
-            c0.leader <- Lvalue c0.head;
-            iter_members st c0 (fun m ->
-                touch_instr st m;
-                st.changed.(m) <- true)
-          end
-        end;
-        touch_users st v;
-        true
+  | node ->
+      let cid = table_find st e in
+      if cid >= 0 then cls st cid
+      else begin
+        let leader = match node with Hexpr.Const n -> Lconst n | _ -> Lvalue v in
+        let c = new_class st leader (Some e) in
+        Util.Hashcons.set_slot e c.cid;
+        c.in_table <- true;
+        c
       end
-      else false
+
+let congruence_finding st v (e : Hexpr.t) : bool =
+  if Hexpr.is_bot e then false (* still ⊥: leave in INITIAL *)
+  else begin
+    let c0 = cls st st.class_of.(v) in
+    let c = class_for_expr st v e in
+    if c.cid <> c0.cid || st.changed.(v) then begin
+      st.changed.(v) <- false;
+      if c.cid <> c0.cid then begin
+        st.stats.Run_stats.class_moves <- st.stats.Run_stats.class_moves + 1;
+        unlink st v;
+        link st v c;
+        if c0.size = 0 then begin
+          (match c0.expr with
+          | Some ex when c0.in_table ->
+              if Util.Hashcons.slot ex = c0.cid then Util.Hashcons.set_slot ex (-1)
+          | _ -> ());
+          c0.in_table <- false;
+          c0.leader <- Lundef;
+          c0.expr <- None
+        end
+        else if (match c0.leader with Lvalue l -> l = v | Lundef | Lconst _ -> false) then begin
+          (* The departing value led its class: elect a new leader, touch
+             the members' definitions, and mark them CHANGED so the new
+             leader propagates to their consumers. *)
+          c0.leader <- Lvalue c0.head;
+          iter_members st c0 (fun m ->
+              touch_instr st m;
+              st.changed.(m) <- true)
+        end
+      end;
+      touch_users st v;
+      true
+    end
+    else false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Edges (Figure 5).                                                   *)
 
-(* The canonical predicate expressions of a branch's true and false edges,
-   re-evaluated over current leaders and inferred in one walk. [None] when
-   unknown or constant (§ Figure 5 line 18 nullifies constant
-   predicates). *)
-let branch_predicates st b cond_atom =
-  match cond_atom with
-  | None -> (None, None)
-  | Some a -> (
-      match Hexpr.node a with
-      | Hexpr.Const _ -> (None, None)
-      | Hexpr.Value v -> (
-          let base =
-            let stored_cmp =
-              match (cls st st.class_of.(v)).expr with
-              | Some e -> (
-                  match Hexpr.node e with
-                  | Hexpr.Cmp (op, x, y) -> Some (op, x, y)
-                  | _ -> None)
-              | None -> None
-            in
-            match stored_cmp with
-            | Some (op, x, y) ->
-                (* Refresh the stored comparison's operands. *)
-                let refresh u =
-                  match Hexpr.node u with
-                  | Hexpr.Value w -> (
-                      match eval_operand st b w with Some a -> a | None -> u)
-                  | _ -> u
-                in
-                Hexpr.cmp_atoms st.arena (rank_fn st) op (refresh x) (refresh y)
-            | None ->
-                Hexpr.cmp_atoms st.arena (rank_fn st) Ir.Types.Ne
-                  (Hexpr.const st.arena 0) a
-          in
-          match Hexpr.node base with
-          | Hexpr.Cmp _ ->
-              let pt, pf = infer_predicate_pair st b base (Hexpr.negate_pred st.arena base) in
-              let known p = match Hexpr.node p with Hexpr.Const _ -> None | _ -> Some p in
-              (known pt, known pf)
-          | _ -> (None, None) (* folded to a constant *))
-      | _ -> (None, None))
+(* A branch's predicate before inference: its condition's stored
+   comparison, operands refreshed, or [cond ≠ 0]. *)
+let branch_base st b a v =
+  let stored = match (cls st st.class_of.(v)).expr with Some e -> e | None -> a in
+  match Hexpr.node stored with
+  | Hexpr.Cmp (op, x, y) ->
+      (* Refresh the stored comparison's operands, second first. *)
+      let refresh u =
+        match Hexpr.node u with
+        | Hexpr.Value w ->
+            let a = operand st b w in
+            if Hexpr.is_bot a then u else a
+        | _ -> u
+      in
+      let y = refresh y in
+      let x = refresh x in
+      Hexpr.cmp_atoms st.arena st.rank_of op x y
+  | _ -> Hexpr.cmp_atoms st.arena st.rank_of Ir.Types.Ne (Hexpr.const st.arena 0) a
 
-let expr_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> Hexpr.equal x y
-  | None, Some _ | Some _, None -> false
+(* The canonical predicate expressions of a branch's true and false edges,
+   re-evaluated over current leaders and inferred in one walk, into
+   [st.branch_preds]; [Hexpr.bot] when unknown or constant (§ Figure 5
+   line 18 nullifies constant predicates). *)
+let edge_predicates st b cond_atom =
+  let bp = st.branch_preds in
+  bp.(0) <- Hexpr.bot;
+  bp.(1) <- Hexpr.bot;
+  if not (Hexpr.is_bot cond_atom) then
+    match Hexpr.node cond_atom with
+    | Hexpr.Value v -> (
+        let base = branch_base st b cond_atom v in
+        match Hexpr.node base with
+        | Hexpr.Cmp _ ->
+            infer_predicate_pair st b base (Hexpr.negate_pred st.arena base);
+            let known k = match Hexpr.node bp.(k) with Hexpr.Const _ -> bp.(k) <- Hexpr.bot | _ -> () in
+            known 0;
+            known 1
+        | _ -> () (* folded to a constant *))
+    | _ -> ()
 
 let handle_edge st e ~reachable ~pred =
   let { Ir.Func.src; dst; _ } = Ir.Func.edge st.f e in
@@ -791,75 +825,76 @@ let handle_edge st e ~reachable ~pred =
         done)
       affected
   end;
-  if st.reach_edge.(e) && not (expr_opt_equal st.pred_edge.(e) pred) then begin
+  (* [pred] is [Hexpr.bot] for none: an option is built only on a change. *)
+  let same = match st.pred_edge.(e) with None -> Hexpr.is_bot pred | Some p -> p == pred in
+  if st.reach_edge.(e) && not same then begin
     any_change := true;
-    set_pred_edge st e pred;
+    set_pred_edge st e (if Hexpr.is_bot pred then None else Some pred);
     propagate_change_in_edge st e
   end;
   !any_change
 
+(* The predicate of a switch's case edge [ix]: scrutinee = case, inferred;
+   [Hexpr.bot] for the default edge, an unknown or non-value scrutinee, or
+   a decided predicate. *)
+let case_predicate st b atom cases ix =
+  if ix >= Array.length cases || Hexpr.is_bot atom then Hexpr.bot
+  else
+    match Hexpr.node atom with
+    | Hexpr.Value _ -> (
+        let p =
+          Hexpr.cmp_atoms st.arena st.rank_of Ir.Types.Eq (Hexpr.const st.arena cases.(ix)) atom
+        in
+        let p = infer_predicate st b p in
+        match Hexpr.node p with Hexpr.Const _ -> Hexpr.bot | _ -> p)
+    | _ -> Hexpr.bot
+
 let process_outgoing_edges st b : bool =
   let blk = Ir.Func.block st.f b in
   match Ir.Func.instr st.f (Ir.Func.terminator_of_block st.f b) with
-  | Ir.Func.Jump -> handle_edge st blk.Ir.Func.succs.(0) ~reachable:true ~pred:None
+  | Ir.Func.Jump -> handle_edge st blk.Ir.Func.succs.(0) ~reachable:true ~pred:Hexpr.bot
   | Ir.Func.Return _ -> false
   | Ir.Func.Switch (c, cases) ->
       (* §3 extension: each case edge carries the equality predicate
          scrutinee = case (so value inference applies inside the case); the
          default edge has no explicit predicate. When the scrutinee is
          congruent to a constant only the matching edge is reachable. *)
-      let atom = eval_operand st b c in
+      let atom = operand st b c in
       let ncases = Array.length cases in
-      let reachable_ix =
-        if not st.config.Config.unreachable_code then fun _ -> true
+      (* The only reachable edge: [-1] when every edge is, [-2] when none
+         is (a ⊥ scrutinee). *)
+      let only =
+        if not st.config.Config.unreachable_code then -1
+        else if Hexpr.is_bot atom then -2
         else
-          match atom with
-          | None -> fun _ -> false
-          | Some a -> (
-              match Hexpr.node a with
-              | Hexpr.Const k ->
-                  let matched = ref ncases in
-                  Array.iteri (fun i case -> if case = k then matched := i) cases;
-                  let m = !matched in
-                  fun ix -> ix = m
-              | _ -> fun _ -> true)
-      in
-      let pred_for ix =
-        if ix >= ncases then None (* default *)
-        else
-          match atom with
-          | Some a when (match Hexpr.node a with Hexpr.Value _ -> true | _ -> false) -> (
-              let p =
-                Hexpr.cmp_atoms st.arena (rank_fn st) Ir.Types.Eq
-                  (Hexpr.const st.arena cases.(ix))
-                  a
-              in
-              let p = infer_predicate st b p in
-              match Hexpr.node p with Hexpr.Const _ -> None | _ -> Some p)
-          | _ -> None
+          match Hexpr.node atom with
+          | Hexpr.Const k ->
+              let matched = ref ncases in
+              Array.iteri (fun i case -> if case = k then matched := i) cases;
+              !matched
+          | _ -> -1
       in
       let changed = ref false in
       Array.iteri
         (fun ix e ->
-          if handle_edge st e ~reachable:(reachable_ix ix) ~pred:(pred_for ix) then
-            changed := true)
+          let pred = case_predicate st b atom cases ix in
+          if handle_edge st e ~reachable:(only = -1 || ix = only) ~pred then changed := true)
         blk.Ir.Func.succs;
       !changed
   | Ir.Func.Branch c ->
-      let atom = eval_operand st b c in
+      let atom = operand st b c in
       let t_reach, f_reach =
         if not st.config.Config.unreachable_code then (true, true)
-        else
-          match atom with
-          | None -> (false, false) (* ⊥ condition: neither side known reachable *)
-          | Some a -> (
-              match Hexpr.node a with
-              | Hexpr.Const k -> (k <> 0, k = 0)
-              | _ -> (true, true))
+        else if Hexpr.is_bot atom then (false, false) (* ⊥ condition: neither side known reachable *)
+        else match Hexpr.node atom with Hexpr.Const k -> (k <> 0, k = 0) | _ -> (true, true)
       in
-      let pt, pf = branch_predicates st b atom in
-      let c1 = handle_edge st blk.Ir.Func.succs.(0) ~reachable:t_reach ~pred:pt in
-      let c2 = handle_edge st blk.Ir.Func.succs.(1) ~reachable:f_reach ~pred:pf in
+      edge_predicates st b atom;
+      let c1 =
+        handle_edge st blk.Ir.Func.succs.(0) ~reachable:t_reach ~pred:st.branch_preds.(0)
+      in
+      let c2 =
+        handle_edge st blk.Ir.Func.succs.(1) ~reachable:f_reach ~pred:st.branch_preds.(1)
+      in
       c1 || c2
   | _ -> assert false
 
@@ -896,10 +931,12 @@ let touch_everything st =
 exception Diverged of string
 
 (* Publish the run's engine counters through the observability layer, under
-   the stable metric names of DESIGN.md §4d. *)
-let record_metrics obs (st : State.t) =
+   the stable metric names of DESIGN.md §4d. [alloc_words] is what the run
+   allocated on its domain's minor heap. *)
+let record_metrics obs (st : State.t) ~alloc_words =
   let s = st.stats in
   Obs.add obs "pgvn.runs" 1;
+  Obs.add obs "pgvn.alloc_words" alloc_words;
   Obs.add obs "pgvn.passes" s.Run_stats.passes;
   Obs.add obs "pgvn.instrs" s.Run_stats.instrs_processed;
   Obs.add obs "pgvn.worklist.instr_touches" s.Run_stats.instr_touches;
@@ -930,6 +967,8 @@ let record_metrics obs (st : State.t) =
   if s.Run_stats.const_folds > 0 then Obs.add obs "rules.fired.const-fold" s.Run_stats.const_folds
 
 let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
+  (* Read the allocation counter only when it is published. *)
+  let words0 = match obs with Some _ -> Gc.minor_words () | None -> 0. in
   let run_span = match obs with Some o -> Some (Obs.Trace.begin_span o.Obs.trace ~cat:"gvn" "pgvn.run") | None -> None in
   let st = State.create config f in
   let everything_reachable =
@@ -951,7 +990,7 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
      evaluation replaces the instruction's earlier records, so the recorded
      claims are those of the final state. *)
   let ni = Ir.Func.num_instrs f in
-  let claims = Array.make ni [] in
+  let claims = ref [||] in (* made at the first claim: most runs make none *)
   let evaluate b i =
     let s = st.stats in
     s.Run_stats.claims <- [];
@@ -963,15 +1002,20 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
         | Ir.Func.Jump | Ir.Func.Branch _ | Ir.Func.Switch _ -> process_outgoing_edges st b
         | _ -> false
     in
-    claims.(i) <- s.Run_stats.claims;
+    (match s.Run_stats.claims with
+    | [] -> if Array.length !claims > 0 then !claims.(i) <- []
+    | l ->
+        if Array.length !claims = 0 then claims := Array.make ni [];
+        !claims.(i) <- l);
     changed
   in
   Fun.protect ~finally:(fun () ->
       match (obs, run_span) with
       | Some o, Some sp ->
+          let alloc_words = int_of_float (Gc.minor_words () -. words0) in
           Obs.Trace.end_span o.Obs.trace sp;
           Obs.observe_seconds o "pgvn.run_ns" (Obs.Trace.duration sp);
-          record_metrics o st
+          record_metrics o st ~alloc_words
       | _ -> ())
   @@ fun () ->
   while !continue_loop && has_work st do
@@ -998,16 +1042,16 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
           end
       end;
       let instrs = (Ir.Func.block st.f b).Ir.Func.instrs in
-      Array.iter
-        (fun i ->
-          if st.touched_instr.(i) then begin
-            untouch_instr st i;
-            if st.reach_block.(b) then begin
-              st.stats.Run_stats.instrs_processed <- st.stats.Run_stats.instrs_processed + 1;
-              if evaluate b i then pass_changed := true
-            end
-          end)
-        instrs
+      for k = 0 to Array.length instrs - 1 do
+        let i = instrs.(k) in
+        if st.touched_instr.(i) then begin
+          untouch_instr st i;
+          if st.reach_block.(b) then begin
+            st.stats.Run_stats.instrs_processed <- st.stats.Run_stats.instrs_processed + 1;
+            if evaluate b i then pass_changed := true
+          end
+        end
+      done
     done;
     end_sweep st;
     (match (obs, sweep_span) with
@@ -1019,8 +1063,16 @@ let run ?obs (config : Config.t) (f : Ir.Func.t) : State.t =
          routine, not just the affected instructions. *)
       touch_everything st
   done;
-  st.stats.Run_stats.claims <- Array.fold_left (fun acc l -> l @ acc) [] claims;
+  st.stats.Run_stats.claims <- Array.fold_left (fun acc l -> l @ acc) [] !claims;
   st
+
+(* The engine steps in option form, for instrumentation and tests. *)
+let option_of x = if Hexpr.is_bot x then None else Some x
+let eval_operand st b v = option_of (operand st b v)
+
+let branch_predicates st b cond_atom =
+  edge_predicates st b (Option.value cond_atom ~default:Hexpr.bot);
+  (option_of st.branch_preds.(0), option_of st.branch_preds.(1))
 
 (* ------------------------------------------------------------------ *)
 (* Result queries and the per-routine strength summary (§5).           *)

@@ -15,8 +15,8 @@ val run : ?obs:Obs.t -> Config.t -> Ir.Func.t -> State.t
     [pgvn.run] span with one [pgvn.sweep] span per worklist sweep, its
     latency is observed into the [pgvn.run_ns] histogram, and the engine's
     counters (passes, worklist touches, TABLE probes/hits, inference
-    visits, arena occupancy) are published under the [pgvn.*] metric names
-    documented in DESIGN.md §4d. *)
+    visits, arena occupancy, the minor-heap words the run allocated) are
+    published under the [pgvn.*] metric names documented in DESIGN.md §4d. *)
 
 (** {1 Result queries} *)
 

@@ -46,8 +46,15 @@ and key = Kblock of int | Kpred of t
 type arena
 (** One expression arena, scoped to a GVN run (see {!State.t.arena}). *)
 
-val create : ?size:int -> unit -> arena
+val create : ?size:int -> ?values:int -> unit -> arena
+(** [size] is the initial table size; [values] the number of value ids
+    the run names, for which the arena keeps one [Value] cell each. *)
+
 val stats : arena -> Util.Hashcons.stats
+
+val intern : arena -> node -> t
+(** The cell for this node exactly as given, with no canonicalization: the
+    reference the constructors below are tested against. *)
 
 val node : t -> node
 val tag : t -> int
@@ -61,10 +68,24 @@ val hash : t -> int
 
 val equal_key : key -> key -> bool
 
+val bot : t
+(** ⊥, the result of evaluating over an operand still in INITIAL: a cell
+    outside every arena, so no constructor returns it and no TABLE slot
+    is ever set on it. Compare with [==]. *)
+
+val is_bot : t -> bool
+
+val ubop : Ir.Types.binop -> opsym
+val uuop : Ir.Types.unop -> opsym
+(** Shared [Ubop]/[Uuop] values, so naming an operator allocates nothing. *)
+
 (** {1 Smart constructors}
 
     All take the arena; all return the unique cell for the (canonicalized)
-    structure. *)
+    structure. They intern hash-first ({!Util.Hashcons.Make.find_or_add}):
+    the node is described in the arena's scratch and hashed there, and
+    built only when no cell holds it yet, so a constructor whose probe
+    hits allocates nothing beyond a list argument the caller built. *)
 
 val const : arena -> int -> t
 val value : arena -> int -> t
@@ -82,12 +103,32 @@ val cmp_ : arena -> Ir.Types.cmp -> t -> t -> t
 val phi : arena -> key -> t list -> t
 val opq : arena -> int -> t list -> t
 
+(** {2 Children from the arena's child buffer}
+
+    [clear_args], then [push_arg] each child in order, then one of the
+    constructors below, with no other constructor call in between (they
+    share the buffer). *)
+
+val clear_args : arena -> unit
+val push_arg : arena -> t -> unit
+val op_args : arena -> opsym -> t
+val phi_block_args : arena -> int -> t
+(** [Phi (Kblock b, children)]. *)
+
+val phi_pred_args : arena -> t -> t
+(** [Phi (Kpred p, children)]. *)
+
+val opq_args : arena -> int -> t
+
 val pand : arena -> t list -> t
 (** Conjunction: flattens nested [Pand] children, sorts by tag, drops
     duplicates; collapses to the sole child, or to [Const 1] when empty. *)
 
 val por : arena -> t list -> t
 (** Disjunction, canonicalized like {!pand}; empty collapses to [Const 0]. *)
+
+val pand2 : arena -> t -> t -> t
+(** [pand2 a x y] is [pand a [x; y]], without the list. *)
 
 (** {1 Sum-of-products algebra}
 
@@ -105,15 +146,46 @@ val negate_terms : term list -> term list
 val mul_terms : (int -> int) -> term list -> term list -> term list
 (** Multiplication with full distribution. *)
 
-val size_of_terms : term list -> int
-(** Operand count, bounded by the forward-propagation limit (§2.2 fn. 4). *)
-
 val of_terms : arena -> term list -> t
 (** Reduce to the simplest form: [Const 0], a constant, a bare value, or a
     [Sum]. *)
 
 val terms_of_atom : t -> term list
 (** @raise Invalid_argument on non-atoms. *)
+
+(** {2 The arena's term buffer}
+
+    The same algebra over the arena's scratch, allocation-free: a term
+    list there is a run of slots, named by its first slot and ending where
+    the buffer ends when it is made. Each function appends its result
+    after its inputs and returns where it starts, so a binary operation
+    takes its operands as consecutive runs [[a0, b0)] and [[b0, end)]. The
+    list forms above are these functions on a buffer of their own. *)
+
+val terms_reset : arena -> unit
+(** Empty the buffer. *)
+
+val terms_atom : arena -> t -> int
+(** Append an atom's terms.
+    @raise Invalid_argument on non-atoms. *)
+
+val terms_list : arena -> term list -> int
+val terms_add : arena -> (int -> int) -> int -> int -> neg:bool -> int
+(** [terms_add a rank a0 b0 ~neg]: the sum of the last two runs, the second
+    negated when [neg]. *)
+
+val terms_mul : arena -> (int -> int) -> int -> int -> int
+(** [terms_mul a rank a0 b0]: the product of the last two runs. *)
+
+val terms_negate : arena -> int -> unit
+(** Negate the last run in place. *)
+
+val terms_size : arena -> int -> int
+(** The operand count of the last run, which the forward-propagation limit
+    bounds (§2.2 fn. 4). *)
+
+val terms_intern : arena -> int -> t
+(** {!of_terms} of the last run. *)
 
 (** {1 Comparisons and operators over atoms} *)
 
@@ -131,6 +203,10 @@ val is_predicate : t -> bool
 
 val make_op : arena -> (int -> int) -> opsym -> t list -> t
 (** An [Op] node, sorting the operands when the operator is commutative. *)
+
+val make_op2 : arena -> (int -> int) -> opsym -> t -> t -> t
+(** [make_op2 a rank sym x y] is [make_op a rank sym [x; y]], without the
+    list. *)
 
 (** {1 Printing} *)
 

@@ -16,48 +16,26 @@
 
 exception Aborted
 
-type ctx = {
-  st : State.t;
-  b0 : int; (* the block whose predicate is being computed *)
-  d0 : int; (* its immediate dominator *)
-  mutable initialized : int list; (* blocks with a live OR accumulator,
-                                     kept only to clear [pp_init] at exit *)
-  mutable canonical_rev : int list; (* B0's incoming edges, reverse order *)
-}
+(* The traversal's scratch lives in the run's State: per-block partial
+   predicates ([Hexpr.bot] for none), the OR accumulators, and the two
+   stacks that replace per-call lists. *)
 
-let reachable_out_count st b =
-  Array.fold_left
-    (fun n e -> if st.State.reach_edge.(e) then n + 1 else n)
-    0
-    (Ir.Func.block st.State.f b).Ir.Func.succs
+(* A conditional edge's place in canonical order (§2.8): the edge whose
+   canonical predicate operator is =, < or ≤ goes first. *)
+let classify st e =
+  match st.State.pred_edge.(e) with
+  | Some p -> (
+      match Hexpr.node p with
+      | Hexpr.Cmp ((Ir.Types.Eq | Ir.Types.Lt | Ir.Types.Le), _, _) -> 0
+      | _ -> 1)
+  | None -> 1
 
-(* Outgoing edges in canonical order (§2.8): for a conditional jump, the
-   edge whose canonical predicate operator is =, < or ≤ goes first. *)
-let canonical_out_edges st b =
-  let succs = (Ir.Func.block st.State.f b).Ir.Func.succs in
-  if Array.length succs <> 2 then Array.to_list succs
-  else
-    let classify e =
-      match st.State.pred_edge.(e) with
-      | Some p -> (
-          match Hexpr.node p with
-          | Hexpr.Cmp ((Ir.Types.Eq | Ir.Types.Lt | Ir.Types.Le), _, _) -> 0
-          | _ -> 1)
-      | None -> 1
-    in
-    let a = succs.(0) and b' = succs.(1) in
-    if classify a <= classify b' then [ a; b' ] else [ b'; a ]
-
-(* Conjunction: [Hexpr.pand] flattens nested conjunctions, sorts and
+(* Conjunction: [Hexpr.pand2] flattens nested conjunctions, sorts and
    deduplicates, so equal path conditions built through different traversal
    shapes are the same cell. *)
-let conj st p q =
-  match (p, q) with
-  | None, x | x, None -> x
-  | Some p, Some q -> Some (Hexpr.pand st.State.arena [ p; q ])
+let conj st p q = if Hexpr.is_bot p then q else Hexpr.pand2 st.State.arena p q
 
-let rec partial ctx b (pp : Hexpr.t option) ~ignore_incoming =
-  let st = ctx.st in
+let rec partial st b0 b pp ~ignore_incoming =
   st.State.stats.Run_stats.phi_predication_visits <-
     st.State.stats.Run_stats.phi_predication_visits + 1;
   let n_in = st.State.in_reachable.(b) in
@@ -65,52 +43,74 @@ let rec partial ctx b (pp : Hexpr.t option) ~ignore_incoming =
   else begin
     if not st.State.pp_init.(b) then begin
       st.State.pp_init.(b) <- true;
-      ctx.initialized <- b :: ctx.initialized;
+      Util.Vec.push st.State.pp_initialized b;
       st.State.partial_ops.(b) <- [];
       st.State.partial_count.(b) <- 0;
-      st.State.partial_pred.(b) <- None
+      st.State.partial_pred.(b) <- Hexpr.bot
     end;
     (* Accumulate this path's predicate as the next OR operand. An unknown
        (empty) path predicate makes the disjunction unusable. *)
-    (match pp with
-    | Some p -> st.State.partial_ops.(b) <- p :: st.State.partial_ops.(b)
-    | None -> raise Aborted);
+    if Hexpr.is_bot pp then raise Aborted;
+    st.State.partial_ops.(b) <- pp :: st.State.partial_ops.(b);
     st.State.partial_count.(b) <- st.State.partial_count.(b) + 1;
     if st.State.partial_count.(b) < n_in then raise_notrace Exit;
     (* Final arrival: the disjunction is complete; build its canonical cell
        (order-insensitive, so the accumulation order does not matter). *)
-    st.State.partial_pred.(b) <-
-      Some (Hexpr.por st.State.arena st.State.partial_ops.(b))
+    st.State.partial_pred.(b) <- Hexpr.por st.State.arena st.State.partial_ops.(b)
   end;
-  if b <> ctx.b0 then begin
+  if b <> b0 then begin
     (* Diamond shortcut: when [b] dominates its immediate postdominator,
        the interior cannot affect B0's predicate. *)
     let d = Analysis.Postdom.ipdom (State.pdom st) b in
-    if d >= 0 && d <> ctx.b0 && Analysis.Dom.dominates (State.dom st) b d then
-      descend ctx d st.State.partial_pred.(b) ~ignore_incoming:true
+    if d >= 0 && d <> b0 && Analysis.Dom.dominates (State.dom st) b d then
+      descend st b0 d st.State.partial_pred.(b) ~ignore_incoming:true
     else begin
-      let n_out = reachable_out_count st b in
-      List.iter
-        (fun e ->
-          if st.State.reach_edge.(e) then begin
-            if st.State.backward.(e) then raise Aborted;
-            let ep =
-              if n_out = 1 then st.State.partial_pred.(b)
-              else
-                match st.State.pred_edge.(e) with
-                | None -> raise Aborted (* conditional edge with unknown predicate *)
-                | Some p -> conj st st.State.partial_pred.(b) (Some p)
-            in
-            let dst = (Ir.Func.edge st.State.f e).Ir.Func.dst in
-            descend ctx dst ep ~ignore_incoming:false;
-            if dst = ctx.b0 then ctx.canonical_rev <- e :: ctx.canonical_rev
-          end)
-        (canonical_out_edges st b)
+      let succs = (Ir.Func.block st.State.f b).Ir.Func.succs in
+      let n_out = Array.length succs in
+      let n_reach = ref 0 in
+      for k = 0 to n_out - 1 do
+        if st.State.reach_edge.(succs.(k)) then incr n_reach
+      done;
+      (* Outgoing edges in canonical order. *)
+      if n_out = 2 && classify st succs.(0) > classify st succs.(1) then begin
+        out_edge st b0 b !n_reach succs.(1);
+        out_edge st b0 b !n_reach succs.(0)
+      end
+      else
+        for k = 0 to n_out - 1 do
+          out_edge st b0 b !n_reach succs.(k)
+        done
     end
   end
 
-and descend ctx b pp ~ignore_incoming =
-  match partial ctx b pp ~ignore_incoming with () -> () | exception Exit -> ()
+and out_edge st b0 b n_reach e =
+  if st.State.reach_edge.(e) then begin
+    if st.State.backward.(e) then raise Aborted;
+    let ep =
+      if n_reach = 1 then st.State.partial_pred.(b)
+      else
+        match st.State.pred_edge.(e) with
+        | None -> raise Aborted (* conditional edge with unknown predicate *)
+        | Some p -> conj st st.State.partial_pred.(b) p
+    in
+    let dst = (Ir.Func.edge st.State.f e).Ir.Func.dst in
+    descend st b0 dst ep ~ignore_incoming:false;
+    if dst = b0 then Util.Vec.push st.State.pp_canonical e
+  end
+
+and descend st b0 b pp ~ignore_incoming =
+  match partial st b0 b pp ~ignore_incoming with () -> () | exception Exit -> ()
+
+(* Whether [a] holds exactly the edges on the [pp_canonical] stack. *)
+let same_edges st a =
+  let v = st.State.pp_canonical in
+  Array.length a = Util.Vec.length v
+  &&
+  let k = ref 0 in
+  while !k < Array.length a && a.(!k) = Util.Vec.get v !k do
+    incr k
+  done;
+  !k = Array.length a
 
 (* Figure 8, Compute predicate of block. Returns [true] when PREDICATE[B0]
    changed (the caller then touches B0's φ-instructions). *)
@@ -123,49 +123,45 @@ let compute_block_predicate (st : State.t) b0 =
   if d0 < 0 then false
   else if not (Analysis.Postdom.postdominates (State.pdom st) b0 d0) then false
   else begin
-    let ctx = { st; b0; d0; initialized = []; canonical_rev = [] } in
-    let result =
-      match descend ctx d0 None ~ignore_incoming:true with
-      | () -> (
+    Util.Vec.clear st.State.pp_initialized;
+    Util.Vec.clear st.State.pp_canonical;
+    let pred =
+      match descend st b0 d0 Hexpr.bot ~ignore_incoming:true with
+      | () ->
           (* The traversal is complete only if it reached B0 at all and, at
              a join, every reachable incoming edge contributed an OR
              operand. (The canonical-edge and initialization guards keep a
              stale accumulator from a previous computation from leaking.) *)
           let n_in = st.State.in_reachable.(b0) in
-          if ctx.canonical_rev = [] then None
+          if Util.Vec.is_empty st.State.pp_canonical then Hexpr.bot
           else if n_in >= 2 then
-            if st.State.pp_init.(b0) && st.State.partial_count.(b0) = n_in
-            then
-              match st.State.partial_pred.(b0) with
-              | Some p -> Some (p, List.rev ctx.canonical_rev)
-              | None -> None
-            else None
-          else
-            match st.State.partial_pred.(b0) with
-            | Some p when n_in = 1 -> Some (p, List.rev ctx.canonical_rev)
-            | _ -> None)
-      | exception Aborted -> None
+            if st.State.pp_init.(b0) && st.State.partial_count.(b0) = n_in then
+              st.State.partial_pred.(b0)
+            else Hexpr.bot
+          else if n_in = 1 then st.State.partial_pred.(b0)
+          else Hexpr.bot
+      | exception Aborted -> Hexpr.bot
     in
     (* Reset the bitset for the next computation; only blocks on the
-       initialized list were touched. *)
-    List.iter (fun b -> st.State.pp_init.(b) <- false) ctx.initialized;
-    match result with
-    | Some (pred, canonical) ->
-        st.State.canonical.(b0) <- Array.of_list canonical;
-        if
-          not
-            (Option.fold ~none:false ~some:(Hexpr.equal pred)
-               st.State.pred_block.(b0))
-        then begin
+       initialized stack were touched. *)
+    for k = 0 to Util.Vec.length st.State.pp_initialized - 1 do
+      st.State.pp_init.(Util.Vec.get st.State.pp_initialized k) <- false
+    done;
+    if not (Hexpr.is_bot pred) then begin
+      if not (same_edges st st.State.canonical.(b0)) then
+        st.State.canonical.(b0) <- Util.Vec.to_array st.State.pp_canonical;
+      match st.State.pred_block.(b0) with
+      | Some p when p == pred -> false
+      | _ ->
           st.State.pred_block.(b0) <- Some pred;
           true
-        end
-        else false
-    | None ->
-        st.State.canonical.(b0) <- [||];
-        if st.State.pred_block.(b0) <> None then begin
+    end
+    else begin
+      st.State.canonical.(b0) <- [||];
+      match st.State.pred_block.(b0) with
+      | None -> false
+      | Some _ ->
           st.State.pred_block.(b0) <- None;
           true
-        end
-        else false
+    end
   end

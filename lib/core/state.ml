@@ -33,6 +33,7 @@ type t = {
   eq_fact_refs : int array; (* edge Eq predicates with this value as right operand *)
   cmp_fact_refs : int array; (* operand slots of edge comparison predicates naming this value *)
   rank : int array;
+  rank_of : int -> int; (* [rank] as the function the algebra takes *)
   class_of : int array;
   next_member : int array;
   prev_member : int array;
@@ -62,18 +63,21 @@ type t = {
   (* predicates *)
   pred_edge : Hexpr.t option array;
   pred_block : Hexpr.t option array;
-  partial_pred : Hexpr.t option array;
+  partial_pred : Hexpr.t array; (* Hexpr.bot: no path predicate *)
   partial_ops : Hexpr.t list array; (* OR operands accumulating at a join *)
   partial_count : int array; (* operands accumulated in a partial predicate *)
   pp_init : bool array; (* per-block: OR accumulator live this computation *)
+  pp_initialized : int Util.Vec.t; (* blocks whose [pp_init] is set *)
+  pp_canonical : int Util.Vec.t; (* B0's incoming edges, in arrival order *)
   canonical : int array array; (* block -> canonical reachable incoming edges *)
-  phi_scratch : Hexpr.t option array; (* per-edge φ-argument scratch (eval_phi) *)
+  phi_scratch : Hexpr.t array; (* per-edge φ-argument scratch (eval_phi) *)
+  branch_preds : Hexpr.t array; (* a branch's true and false edge predicates *)
   (* static structure *)
   ctx : Analysis.Ctx.t;
   backward : bool array; (* per edge: RPO back edge *)
   back_in : bool array; (* per block: some incoming edge is a back edge *)
   inc_dom : Analysis.Inc_dom.t; (* complete variant: reachable dominator tree *)
-  def_use : int array array;
+  def_use : Ir.Func.def_use; (* users in the blocks the RPO holds *)
   switch_default : (int * int array) option array;
       (* per edge: [Some (scrutinee, cases)] when the edge is a switch
          default (it carries no predicate expression but excludes every
@@ -112,13 +116,14 @@ let create (config : Config.t) (f : Ir.Func.t) =
   let next_rank = ref 0 in
   Array.iter
     (fun b ->
-      Array.iter
-        (fun i ->
-          if Ir.Func.defines_value (Ir.Func.instr f i) then begin
-            incr next_rank;
-            rank.(i) <- !next_rank
-          end)
-        (Ir.Func.block f b).Ir.Func.instrs)
+      let instrs = (Ir.Func.block f b).Ir.Func.instrs in
+      for k = 0 to Array.length instrs - 1 do
+        let i = instrs.(k) in
+        if Ir.Func.defines_value (Ir.Func.instr f i) then begin
+          incr next_rank;
+          rank.(i) <- !next_rank
+        end
+      done)
     rpo.Analysis.Rpo.order;
   (* Static inferenceability marking (§3): inference can only rewrite a
      value whose congruence class contains an operand of a comparison. *)
@@ -195,12 +200,13 @@ let create (config : Config.t) (f : Ir.Func.t) =
     eq_fact_refs = Array.make ni 0;
     cmp_fact_refs;
     rank;
+    rank_of = (fun v -> rank.(v));
     class_of;
     next_member;
     prev_member;
     changed = Array.make ni false;
     classes;
-    arena = Hexpr.create ~size:256 ();
+    arena = Hexpr.create ~size:256 ~values:ni ();
     initial = 0;
     reach_block = Array.make nb false;
     reach_edge = Array.make ne false;
@@ -213,25 +219,29 @@ let create (config : Config.t) (f : Ir.Func.t) =
     pending = Array.length rpo.Analysis.Rpo.order;
     pred_edge = Array.make ne None;
     pred_block = Array.make nb None;
-    partial_pred = Array.make nb None;
+    partial_pred = Array.make nb Hexpr.bot;
     partial_ops = Array.make nb [];
     partial_count = Array.make nb 0;
     pp_init = Array.make nb false;
+    pp_initialized = Util.Vec.create ~dummy:(-1);
+    pp_canonical = Util.Vec.create ~dummy:(-1);
     canonical = Array.make nb [||];
-    phi_scratch = Array.make ne None;
+    phi_scratch = Array.make ne Hexpr.bot;
+    branch_preds = Array.make 2 Hexpr.bot;
     ctx;
     backward;
     back_in =
-      Array.init nb (fun b -> Array.exists (fun e -> backward.(e)) (Ir.Func.block f b).Ir.Func.preds);
+      (let back_in = Array.make nb false in
+       Array.iteri (fun e back -> if back then back_in.((Ir.Func.edge f e).Ir.Func.dst) <- true) backward;
+       back_in);
     inc_dom = Analysis.Inc_dom.create ~n:nb ~entry:Ir.Func.entry;
     def_use =
-      (let du = Ir.Func.def_use f and number = rpo.Analysis.Rpo.number in
-       (* The sweep never evaluates a user in a block the RPO lacks, so a
-          touch could never be cleared: such users are left out. *)
-       if Array.length rpo.Analysis.Rpo.order = nb then du
+      (* The sweep never evaluates a user in a block the RPO lacks, so a
+         touch could never be cleared: such users are left out. *)
+      (if Array.length rpo.Analysis.Rpo.order = nb then Ir.Func.def_use f
        else
-         let swept i = number.(Ir.Func.block_of_instr f i) >= 0 in
-         Array.map (fun us -> Array.of_list (List.filter swept (Array.to_list us))) du);
+         let number = rpo.Analysis.Rpo.number in
+         Ir.Func.def_use ~keep:(fun i -> number.(Ir.Func.block_of_instr f i) >= 0) f);
     switch_default;
     stats = Run_stats.create ();
     rules_subject = None;
@@ -243,12 +253,12 @@ let pdom t = Analysis.Ctx.postdom t.ctx t.f
 let cls t c = Util.Vec.get t.classes c
 
 (* The class leader of a value, as the atomic expression symbolic evaluation
-   substitutes for it. [None] while the value is still in INITIAL (⊥). *)
+   substitutes for it. [Hexpr.bot] while the value is still in INITIAL. *)
 let leader_atom t v =
   match (cls t t.class_of.(v)).leader with
-  | Lundef -> None
-  | Lconst n -> Some (Hexpr.const t.arena n)
-  | Lvalue l -> Some (Hexpr.value t.arena l)
+  | Lundef -> Hexpr.bot
+  | Lconst n -> Hexpr.const t.arena n
+  | Lvalue l -> Hexpr.value t.arena l
 
 (* ---------------- TOUCHED ---------------- *)
 
@@ -278,7 +288,11 @@ let untouch_block t b =
     t.touched_count <- t.touched_count - 1
   end
 
-let touch_users t v = Array.iter (fun i -> touch_instr t i) t.def_use.(v)
+let touch_users t v =
+  let { Ir.Func.offsets; users } = t.def_use in
+  for k = offsets.(v) to offsets.(v + 1) - 1 do
+    touch_instr t users.(k)
+  done
 
 let touch_block_instrs t b =
   Array.iter (fun i -> touch_instr t i) (Ir.Func.block t.f b).Ir.Func.instrs

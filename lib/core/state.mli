@@ -42,6 +42,7 @@ type t = {
           value (plus switch defaults it scrutinizes, under
           [Config.pred_closure]); a class's [cmp_facts] is its members' sum *)
   rank : int array;  (** RANK: constants 0, values by RPO definition order *)
+  rank_of : int -> int;  (** [rank] as a function, made once per run *)
   class_of : int array;  (** CLASS *)
   next_member : int array;
   prev_member : int array;
@@ -75,23 +76,32 @@ type t = {
   pred_edge : Hexpr.t option array;
       (** PREDICATE of edges (canonical); written only by {!set_pred_edge} *)
   pred_block : Hexpr.t option array;  (** PREDICATE of blocks (φ-predication) *)
-  partial_pred : Hexpr.t option array;
+  partial_pred : Hexpr.t array;
+      (** PARTIAL PREDICATE of blocks; {!Hexpr.bot} for none *)
   partial_ops : Hexpr.t list array;  (** OR operands accumulating at a join *)
   partial_count : int array;
   pp_init : bool array;
       (** per-block bit: OR accumulator live in the current Figure 8
-          computation (cleared via the traversal's initialized list) *)
+          computation (cleared via [pp_initialized]) *)
+  pp_initialized : int Util.Vec.t;
+      (** the blocks whose [pp_init] bit the current computation set *)
+  pp_canonical : int Util.Vec.t;
+      (** the current computation's incoming edges of its block, in the
+          order the traversal reached them *)
   canonical : int array array;  (** CANONICAL incoming-edge order per block *)
-  phi_scratch : Hexpr.t option array;
-      (** per-edge φ-argument scratch for {!Driver}'s [eval_phi]; all [None]
-          between evaluations *)
+  phi_scratch : Hexpr.t array;
+      (** per-edge φ-argument scratch for {!Driver}'s [eval_phi]; all
+          {!Hexpr.bot} between evaluations *)
+  branch_preds : Hexpr.t array;
+      (** scratch for {!Driver}: the predicates of the branch being
+          evaluated, true edge first; {!Hexpr.bot} for none *)
   ctx : Analysis.Ctx.t;
       (** the function's graph, RPO, dominators and postdominators; read
           them through {!rpo}, {!dom} and {!pdom} *)
   backward : bool array;  (** BACKWARD: RPO back edges *)
   back_in : bool array;  (** per block: some incoming edge is a back edge *)
   inc_dom : Analysis.Inc_dom.t;  (** complete variant's reachable dominator tree *)
-  def_use : int array array;
+  def_use : Ir.Func.def_use;
       (** per value, its users in the blocks the RPO holds *)
   switch_default : (int * int array) option array;
       (** per edge: [Some (scrutinee, cases)] for switch default edges;
@@ -114,9 +124,9 @@ val pdom : t -> Analysis.Postdom.t
 
 val cls : t -> int -> cls
 
-val leader_atom : t -> Ir.Func.value -> Hexpr.t option
+val leader_atom : t -> Ir.Func.value -> Hexpr.t
 (** The atomic expression symbolic evaluation substitutes for a value: its
-    class leader. [None] while the value is still in INITIAL (⊥). *)
+    class leader. {!Hexpr.bot} while the value is still in INITIAL. *)
 
 (** {1 TOUCHED} *)
 

@@ -16,7 +16,10 @@ type t = {
   edges : Func.edge Util.Vec.t;
   preds : int Util.Vec.t Util.Vec.t; (* incoming edge ids per block *)
   succs : int Util.Vec.t Util.Vec.t; (* outgoing edge ids per block *)
-  phi_args : (int, (int, int) Hashtbl.t) Hashtbl.t; (* phi id -> edge -> value *)
+  (* φ arguments: the k-th φ made (its placeholder instruction is
+     [Phi [| k |]]) appends its (edge, value) pairs to [phi_args.(k)],
+     whose slot 0 counts them. *)
+  phi_args : int array Util.Vec.t;
   mutable opaque_counter : int;
   mutable final_ids : int array; (* set by [finish]: builder id -> final id *)
 }
@@ -36,7 +39,7 @@ let create ~name ~nparams =
       edges = Util.Vec.create ~dummy:{ Func.src = -1; dst = -1; src_ix = -1; dst_ix = -1 };
       preds = Util.Vec.create ~dummy:(Util.Vec.create ~dummy:0);
       succs = Util.Vec.create ~dummy:(Util.Vec.create ~dummy:0);
-      phi_args = Hashtbl.create 16;
+      phi_args = Util.Vec.create ~dummy:[||];
       opaque_counter = 0;
       final_ids = [||];
     }
@@ -87,15 +90,34 @@ let opaque ?tag t blk args =
 
 (* A phi with arguments to be supplied later via {!set_phi_arg}. *)
 let phi t blk =
-  let id = new_instr t blk (Func.Phi [||]) in
+  let k = Util.Vec.length t.phi_args in
+  Util.Vec.push t.phi_args (Array.make 5 0);
+  let id = new_instr t blk (Func.Phi [| k |]) in
   Util.Vec.push (Util.Vec.get t.phis blk) id;
-  Hashtbl.replace t.phi_args id (Hashtbl.create 4);
   id
 
+(* A later argument for the same edge replaces the earlier one: [finish]
+   reads the pairs most recent first. *)
 let set_phi_arg t ~phi ~edge v =
-  match Hashtbl.find_opt t.phi_args phi with
-  | None -> invalid_arg "Builder.set_phi_arg: not a phi"
-  | Some tbl -> Hashtbl.replace tbl edge v
+  let k =
+    if phi < 0 || phi >= Util.Vec.length t.instrs then -1
+    else match (Util.Vec.get t.instrs phi).ins with Func.Phi [| k |] -> k | _ -> -1
+  in
+  if k < 0 then invalid_arg "Builder.set_phi_arg: not a phi";
+  let a = Util.Vec.get t.phi_args k in
+  let n = a.(0) in
+  let a =
+    if (2 * n) + 2 < Array.length a then a
+    else begin
+      let bigger = Array.make ((2 * Array.length a) - 1) 0 in
+      Array.blit a 0 bigger 0 (Array.length a);
+      Util.Vec.set t.phi_args k bigger;
+      bigger
+    end
+  in
+  a.((2 * n) + 1) <- edge;
+  a.((2 * n) + 2) <- v;
+  a.(0) <- n + 1
 
 let add_edge t src dst =
   let e = Util.Vec.length t.edges in
@@ -168,20 +190,30 @@ let finish t : Func.t =
     | Branch a -> Branch (map_value "branch" a)
     | Switch (a, cases) -> Switch (map_value "switch" a, cases)
     | Return a -> Return (map_value "return" a)
-    | Phi _ ->
-        let tbl = Hashtbl.find t.phi_args old_id in
-        let args =
-          Array.map
-            (fun e ->
-              match Hashtbl.find_opt tbl e with
-              | Some v -> map_value "phi" v
-              | None ->
-                  invalid_arg
-                    (Printf.sprintf "Builder: phi %d missing argument for edge %d in block %d"
-                       old_id e blk))
-            preds_arr.(blk)
-        in
-        Phi args
+    | Phi placeholder ->
+        (* Place each edge's most recent argument at the edge's position
+           among the block's predecessors. *)
+        let preds = preds_arr.(blk) in
+        let n = Array.length preds in
+        let value = Array.make n 0 and have = Array.make n false in
+        let pairs = Util.Vec.get t.phi_args placeholder.(0) in
+        for i = pairs.(0) - 1 downto 0 do
+          let e = pairs.((2 * i) + 1) in
+          if e >= 0 && e < Util.Vec.length t.edges then begin
+            let ed = Util.Vec.get t.edges e in
+            if ed.Func.dst = blk && not have.(ed.Func.dst_ix) then begin
+              have.(ed.Func.dst_ix) <- true;
+              value.(ed.Func.dst_ix) <- pairs.((2 * i) + 2)
+            end
+          end
+        done;
+        Phi
+          (Array.init n (fun k ->
+               if have.(k) then map_value "phi" value.(k)
+               else
+                 invalid_arg
+                   (Printf.sprintf "Builder: phi %d missing argument for edge %d in block %d"
+                      old_id preds.(k) blk)))
   in
   let instrs = Array.make n Func.Jump in
   let instr_block = Array.make n (-1) in

@@ -84,21 +84,42 @@ let iter_operands g = function
       g b
   | Opaque (_, args) | Phi args -> Array.iter g args
 
-(* Def-use chains: for each value, the instructions that use it. *)
-let def_use f =
-  let counts = Array.make (num_instrs f) 0 in
-  Array.iter (fun ins -> iter_operands (fun v -> counts.(v) <- counts.(v) + 1) ins) f.instrs;
-  let users = Array.map (fun c -> Array.make c (-1)) counts in
-  let fill = Array.make (num_instrs f) 0 in
-  Array.iteri
-    (fun i ins ->
-      iter_operands
-        (fun v ->
-          users.(v).(fill.(v)) <- i;
-          fill.(v) <- fill.(v) + 1)
-        ins)
-    f.instrs;
-  users
+(* Def-use chains, flat: the users of value [v] are
+   [users.(offsets.(v)) .. users.(offsets.(v + 1) - 1)], in instruction
+   order, one entry per operand slot. *)
+type def_use = { offsets : int array; users : int array }
+
+let def_use ?(keep = fun _ -> true) f =
+  let ni = num_instrs f in
+  (* Count each value's uses into [offsets.(v)], make that the end of its
+     range, then fill users last first, moving each end back to the
+     range's start. *)
+  let offsets = Array.make (ni + 1) 0 in
+  let count v = offsets.(v) <- offsets.(v) + 1 in
+  for i = 0 to ni - 1 do
+    if keep i then iter_operands count f.instrs.(i)
+  done;
+  for v = 1 to ni do
+    offsets.(v) <- offsets.(v) + offsets.(v - 1)
+  done;
+  let users = Array.make offsets.(ni) 0 in
+  let user = ref 0 in
+  let add v =
+    offsets.(v) <- offsets.(v) - 1;
+    users.(offsets.(v)) <- !user
+  in
+  for i = ni - 1 downto 0 do
+    if keep i then begin
+      user := i;
+      iter_operands add f.instrs.(i)
+    end
+  done;
+  { offsets; users }
+
+let iter_users du v g =
+  for k = du.offsets.(v) to du.offsets.(v + 1) - 1 do
+    g du.users.(k)
+  done
 
 (* Block-level successor/predecessor arrays, for the CFG analyses. *)
 let succ_blocks f =

@@ -80,9 +80,20 @@ val operands : instr -> value array
 
 val iter_operands : (value -> unit) -> instr -> unit
 
-val def_use : t -> int array array
-(** [def_use f].(v) lists the instructions using value [v] (the SSA def-use
-    chains). *)
+type def_use = private {
+  offsets : int array;  (** length [num_instrs + 1] *)
+  users : int array;
+}
+(** The SSA def-use chains, flat: the users of value [v] are
+    [users.(offsets.(v))] up to [users.(offsets.(v + 1) - 1)], in
+    instruction order, an instruction once per operand slot naming [v]. *)
+
+val def_use : ?keep:(int -> bool) -> t -> def_use
+(** The def-use chains of [f], counting only the users [keep] accepts (all
+    by default). *)
+
+val iter_users : def_use -> value -> (int -> unit) -> unit
+(** [iter_users du v g] calls [g] on each user of [v], in order. *)
 
 val succ_blocks : t -> int array array
 (** Per-block successor block ids (the CFG view used by {!Analysis.Graph}). *)

@@ -95,7 +95,7 @@ let analysis_pass (f : Ir.Func.t) : Ir.Func.t =
   let (_ : Analysis.Postdom.t) = Analysis.Postdom.compute g in
   let (_ : int array array) = Analysis.Domfront.compute g dom in
   let (_ : Analysis.Loops.forest) = Analysis.Loops.forest ~dom g in
-  let (_ : int array array) = Ir.Func.def_use f in
+  let (_ : Ir.Func.def_use) = Ir.Func.def_use f in
   let (_ : Analysis.Liveness.t) = Analysis.Liveness.compute f in
   f
 

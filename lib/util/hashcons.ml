@@ -10,6 +10,7 @@
 
 type 'a consed = { node : 'a; tag : int; hkey : int; mutable slot : int }
 
+let sentinel node = { node; tag = -1; hkey = 0; slot = -1 }
 let slot c = c.slot
 let set_slot c v = c.slot <- v
 
@@ -55,25 +56,27 @@ module Make (H : HashedType) = struct
       old;
     a.buckets <- nb
 
-  let hashcons a node =
-    let h = H.hash node land max_int in
+  (* A chain walk with no closure: the key is [h], [equal] and [key]. *)
+  let rec find h equal key = function
+    | c :: rest -> if c.hkey = h && equal key c.node then c else find h equal key rest
+    | [] -> raise_notrace Not_found
+
+  let find_or_add a hash equal build key =
+    let h = hash land max_int in
     let i = h land (Array.length a.buckets - 1) in
-    let rec find = function
-      | c :: rest ->
-          if c.hkey = h && H.equal c.node node then begin
-            a.hits <- a.hits + 1;
-            c
-          end
-          else find rest
-      | [] ->
-          let c = { node; tag = a.next_tag; hkey = h; slot = -1 } in
-          a.next_tag <- a.next_tag + 1;
-          a.buckets.(i) <- c :: a.buckets.(i);
-          a.live <- a.live + 1;
-          if a.live > 2 * Array.length a.buckets then resize a;
-          c
-    in
-    find a.buckets.(i)
+    match find h equal key a.buckets.(i) with
+    | c ->
+        a.hits <- a.hits + 1;
+        c
+    | exception Not_found ->
+        let c = { node = build key; tag = a.next_tag; hkey = h; slot = -1 } in
+        a.next_tag <- a.next_tag + 1;
+        a.buckets.(i) <- c :: a.buckets.(i);
+        a.live <- a.live + 1;
+        if a.live > 2 * Array.length a.buckets then resize a;
+        c
+
+  let hashcons a node = find_or_add a (H.hash node) H.equal Fun.id node
 
   let stats a =
     let max_chain =

@@ -18,6 +18,10 @@ type 'a consed = private { node : 'a; tag : int; hkey : int; mutable slot : int 
     unique, an [expression -> int] table over consed cells can be this
     field — a probe is a load, no hashing at all. One owner per arena. *)
 
+val sentinel : 'a -> 'a consed
+(** A cell outside every arena, with tag [-1]: no [hashcons] returns it, so
+    a client can use it as a marker that no interned cell equals. *)
+
 val slot : 'a consed -> int
 (** The client scratch slot ([-1] until set). *)
 
@@ -48,6 +52,14 @@ module Make (H : HashedType) : sig
   val hashcons : arena -> H.t -> H.t consed
   (** The unique cell for this node: physical equality of results is
       structural equality of arguments (within one arena). *)
+
+  val find_or_add : arena -> int -> ('k -> H.t -> bool) -> ('k -> H.t) -> 'k -> H.t consed
+  (** [find_or_add a h equal build key]: hash-first interning of a node the
+      caller holds in some other form [key] (a scratch buffer, say). [h]
+      must be [H.hash] of the node, and [equal key n] must hold exactly when
+      [n] is structurally equal to it. The probe compares stored hashes,
+      then [equal]; only on a miss does [build key] make the node, which is
+      interned as [hashcons] would. A hit allocates nothing. *)
 
   val stats : arena -> stats
 

@@ -321,6 +321,160 @@ let test_pand_por_units () =
   Alcotest.(check bool) "pand [p] = p" true (H.equal (H.pand a [ p ]) p);
   Alcotest.(check bool) "por [p] = p" true (H.equal (H.por a [ p ]) p)
 
+(* Hash-first interning: each constructor describes its node in the
+   arena's scratch and builds it only when no cell holds it yet. Whether
+   the constructor or {!H.intern} of the built node comes first, both give
+   one cell; a repeated call hits, adds no cell and allocates nothing. *)
+
+(* A pool of children per arena: atoms (small and large constants,
+   values) and comparisons. *)
+let pool a =
+  Array.append
+    (Array.init 6 (fun v -> H.value a v))
+    [|
+      H.const a 0;
+      H.const a 1;
+      H.const a 40;
+      H.const a (-33);
+      H.cmp_ a Ir.Types.Lt (H.value a 0) (H.value a 1);
+      H.cmp_ a Ir.Types.Eq (H.value a 2) (H.const a 40);
+      H.cmp_ a Ir.Types.Ne (H.value a 3) (H.value a 4);
+    |]
+
+type cons_shape =
+  | Sop of H.opsym
+  | Sphi_block of int
+  | Sphi_pred of int (* the key predicate, a pool index *)
+  | Sopq of int
+  | Sand
+  | Sor
+  | Ssum of H.term list * H.term list * bool (* a + b, or a - b when true *)
+
+let sum_terms ts us neg = H.merge_terms rank ts (if neg then H.negate_terms us else us)
+
+(* Put a shape's input into the arena's scratch: the children [xs] into the
+   child buffer, or a sum's operands into the term buffer, where the
+   returned run then holds the sum. *)
+let load a xs = function
+  | Ssum (ts, us, neg) ->
+      H.terms_reset a;
+      let a0 = H.terms_list a ts in
+      H.terms_add a rank a0 (H.terms_list a us) ~neg
+  | _ ->
+      H.clear_args a;
+      List.iter (H.push_arg a) xs;
+      0
+
+(* The constructor reading that scratch (a connective has only its list
+   form). *)
+let from_scratch a p xs r = function
+  | Ssum _ -> H.terms_intern a r
+  | Sop sym -> H.op_args a sym
+  | Sphi_block b -> H.phi_block_args a b
+  | Sphi_pred k -> H.phi_pred_args a p.(k)
+  | Sopq g -> H.opq_args a g
+  | Sand -> H.pand a xs
+  | Sor -> H.por a xs
+
+let from_list a p xs = function
+  | Ssum (ts, us, neg) -> H.of_terms a (sum_terms ts us neg)
+  | Sop sym -> H.op_ a sym xs
+  | Sphi_block b -> H.phi a (H.Kblock b) xs
+  | Sphi_pred k -> H.phi a (H.Kpred p.(k)) xs
+  | Sopq g -> H.opq a g xs
+  | Sand -> H.pand a xs
+  | Sor -> H.por a xs
+
+(* The expected cell: the canonical node, built and given to [H.intern]. *)
+let expected a p xs s =
+  let connective unit mk =
+    match List.sort_uniq (fun x y -> Int.compare (H.tag x) (H.tag y)) xs with
+    | [] -> H.const a unit
+    | [ x ] -> x
+    | xs -> H.intern a (mk xs)
+  in
+  match s with
+  | Sop sym -> H.intern a (H.Op (sym, xs))
+  | Sphi_block b -> H.intern a (H.Phi (H.Kblock b, xs))
+  | Sphi_pred k -> H.intern a (H.Phi (H.Kpred p.(k), xs))
+  | Sopq g -> H.intern a (H.Opq (g, xs))
+  | Sand -> connective 1 (fun xs -> H.Pand xs)
+  | Sor -> connective 0 (fun xs -> H.Por xs)
+  | Ssum (ts, us, neg) -> (
+      match sum_terms ts us neg with
+      | [] -> H.const a 0
+      | [ { H.coeff; factors = [] } ] -> H.const a coeff
+      | [ { H.coeff = 1; factors = [ v ] } ] -> H.value a v
+      | ts -> H.intern a (H.Sum ts))
+
+let gen_cons_shape =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun s -> Sop s)
+          (oneofl
+             [ H.Ubop Ir.Types.Div; H.Ubop Ir.Types.Shl; H.Uuop Ir.Types.Lnot; H.Uuop Ir.Types.Bnot ]);
+        map (fun b -> Sphi_block b) (int_range 0 3);
+        map (fun k -> Sphi_pred k) (int_range 10 12);
+        map (fun g -> Sopq g) (int_range 0 3);
+        return Sand;
+        return Sor;
+        map3 (fun ts us neg -> Ssum (ts, us, neg)) (gen_terms 2) (gen_terms 2) bool;
+      ])
+
+let show_cons_shape = function
+  | Sop s -> H.to_string (H.op_ (H.create ()) s [])
+  | Sphi_block b -> Printf.sprintf "phi B%d" b
+  | Sphi_pred k -> Printf.sprintf "phi P%d" k
+  | Sopq g -> Printf.sprintf "opq %d" g
+  | Sand -> "pand"
+  | Sor -> "por"
+  | Ssum (ts, us, neg) ->
+      Printf.sprintf "(%s) %s (%s)" (show_terms ts) (if neg then "-" else "+") (show_terms us)
+
+let arb_interning =
+  QCheck.make
+    QCheck.Gen.(pair gen_cons_shape (list_size (int_range 0 4) (int_range 0 12)))
+    ~print:(fun (s, ix) ->
+      show_cons_shape s ^ " over pool " ^ String.concat "," (List.map string_of_int ix))
+
+let counts a =
+  let s = H.stats a in
+  (s.Util.Hashcons.live, s.Util.Hashcons.interned)
+
+(* The minor words [f x] allocates. *)
+let words f x =
+  let w0 = Gc.minor_words () in
+  let r = f x in
+  let w1 = Gc.minor_words () in
+  (r, w1 -. w0)
+
+let prop_hash_first_interning =
+  QCheck.Test.make ~name:"hash-first constructors intern as the built node does" ~count:500
+    arb_interning (fun (s, ix) ->
+      let overhead = snd (words ignore ()) in
+      (* Constructor first: a miss builds the cell the node names; a
+         repeat hits it, adds no cell and allocates nothing. *)
+      let a = H.create () in
+      let p = pool a in
+      let xs = List.map (Array.get p) ix in
+      let r = load a xs s in
+      let c = from_scratch a p xs r s in
+      let n = counts a in
+      let c1, w = words (fun () -> from_scratch a p xs r s) () in
+      let first =
+        c1 == c && w = overhead && from_list a p xs s == c && expected a p xs s == c && counts a = n
+      in
+      (* Node first: both constructors then hit its cell. *)
+      let b = H.create () in
+      let q = pool b in
+      let ys = List.map (Array.get q) ix in
+      let e = expected b q ys s in
+      let n = counts b in
+      let r = load b ys s in
+      first && from_scratch b q ys r s == e && from_list b q ys s == e && counts b = n)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_merge_is_addition;
@@ -341,4 +495,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cons_roundtrip;
     QCheck_alcotest.to_alcotest prop_pand_por_canonical;
     Alcotest.test_case "pand/por unit and singleton collapse" `Quick test_pand_por_units;
+    QCheck_alcotest.to_alcotest prop_hash_first_interning;
   ]

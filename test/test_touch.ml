@@ -290,6 +290,90 @@ let test_work_pinned () =
   let got = List.map (fun (name, (_, w)) -> (name, w)) (Lazy.force pinned_digests) in
   Alcotest.(check (list (pair string string))) "work digest per preset" expected got
 
+(* The arena a run leaves, as text: its cell counts and longest chain,
+   then the tag of every class's expression in class order, of every edge
+   predicate and of every block predicate. Tags number cells in creation
+   order, so this pins the order in which a run interns. *)
+let arena_text config f =
+  let b = Buffer.create 1024 in
+  (match Pgvn.Driver.run config f with
+  | exception Pgvn.Driver.Diverged _ -> Buffer.add_string b "diverged"
+  | st ->
+      let s = Pgvn.Hexpr.stats st.Pgvn.State.arena in
+      Printf.bprintf b "%d %d %d\n" s.Util.Hashcons.live s.Util.Hashcons.interned
+        s.Util.Hashcons.max_chain;
+      let tag = function Some e -> string_of_int (Pgvn.Hexpr.tag e) | None -> "-" in
+      Util.Vec.iter
+        (fun c -> Printf.bprintf b "%s " (tag c.Pgvn.State.expr))
+        st.Pgvn.State.classes;
+      Buffer.add_char b '\n';
+      Array.iter (fun p -> Printf.bprintf b "%s " (tag p)) st.Pgvn.State.pred_edge;
+      Buffer.add_char b '\n';
+      Array.iter (fun p -> Printf.bprintf b "%s " (tag p)) st.Pgvn.State.pred_block);
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let arena_digests () =
+  let routines = List.concat_map snd (Workload.Suite.all ~scale:0.1 ()) in
+  List.map
+    (fun (name, config) ->
+      (name, Digest.to_hex (Digest.string (String.concat "" (List.map (arena_text config) routines)))))
+    [ ("full", Pgvn.Config.full); ("pred-closure", { Pgvn.Config.full with pred_closure = true });
+      ("basic", Pgvn.Config.basic); ("pessimistic", Pgvn.Config.pessimistic) ]
+
+(* Recorded before evaluation moved into the arena's scratch buffers and
+   interning went hash-first: both must make the same cells in the same
+   order as building each node and interning it did. *)
+let test_arena_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "arena digest per configuration"
+    [
+      ("full", "250c13a788fd93262d56b1257fa24e8f");
+      ("pred-closure", "886639c204b24b7e74ceabfa6853cddd");
+      ("basic", "b4bb1529d278d552d38452503a25652a");
+      ("pessimistic", "debb7e69720851acfd8ea6e299eb17e3");
+    ]
+    (arena_digests ())
+
+(* ------------------------------------------------------------------ *)
+(* Flat def-use against the array-per-value oracle.                    *)
+
+let users du v =
+  let acc = ref [] in
+  Ir.Func.iter_users du v (fun u -> acc := u :: !acc);
+  Array.of_list (List.rev !acc)
+
+let same_chains what f (du : Ir.Func.def_use) oracle =
+  let n = Ir.Func.num_instrs f in
+  Alcotest.(check int) (what ^ ": offsets") (n + 1) (Array.length du.Ir.Func.offsets);
+  for v = 0 to n - 1 do
+    Alcotest.(check (array int)) (Printf.sprintf "%s: users of v%d" what v) oracle.(v) (users du v)
+  done
+
+(* The same users in the same order, for the whole function and for the
+   chains a GVN run keeps, on generated routines and on the hand-built
+   functions with blocks the entry does not reach. *)
+let test_def_use_matches_oracle () =
+  let generated =
+    List.init 30 (fun seed -> (Printf.sprintf "seed %d" seed, Workload.Generator.func ~seed ~name:"d" ()))
+  in
+  let orphans =
+    List.map
+      (fun (name, shape) -> (name, Test_transform.orphan_func shape))
+      [ ("orphan", `Plain); ("orphan cycle", `Cycle); ("orphan guarded", `Guarded) ]
+  in
+  let filtered = ref 0 in
+  List.iter
+    (fun (name, f) ->
+      let oracle = Def_use_oracle.compute f in
+      same_chains name f (Ir.Func.def_use f) oracle;
+      let st = Pgvn.State.create Pgvn.Config.full f in
+      let swept = Def_use_oracle.swept f (Pgvn.State.rpo st) oracle in
+      if swept != oracle then incr filtered;
+      same_chains (name ^ ", swept") f st.Pgvn.State.def_use swept)
+    (generated @ orphans);
+  Alcotest.(check int) "functions whose swept chains drop users" 3 !filtered
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_watermark_matches_oracle;
@@ -297,4 +381,7 @@ let suite =
     Alcotest.test_case "touch slots stay within passes × blocks" `Quick
       test_touch_slots_bounded;
     Alcotest.test_case "whole-run work is pinned" `Quick test_work_pinned;
+    Alcotest.test_case "the arena's cells and their order are pinned" `Quick test_arena_pinned;
+    Alcotest.test_case "flat def-use matches the per-value oracle" `Quick
+      test_def_use_matches_oracle;
   ]

@@ -19,7 +19,7 @@ let create f rpo =
   {
     f;
     rpo;
-    def_use = Ir.Func.def_use f;
+    def_use = Def_use_oracle.compute f;
     touched_instr = Array.make (Ir.Func.num_instrs f) false;
     touched_block = Array.make (Ir.Func.num_blocks f) false;
     touched_count = 0;

@@ -54,6 +54,11 @@ let equality_rewrite st e v =
 
 let src st e = (Ir.Func.edge st.f e).Ir.Func.src
 
+(* A value's leader atom, [None] while it is ⊥. *)
+let leader st v =
+  let a = leader_atom st v in
+  if Pgvn.Hexpr.is_bot a then None else Some a
+
 (* Infer value at block: rewrite through equality predicates, restarting
    after each rewrite and stopping at the block that induced it. *)
 let infer_value_at_block st b0 atom =
@@ -77,12 +82,12 @@ let infer_value_at_block st b0 atom =
         | `Restart (xv, b) -> go xv b
         | `Const c -> c
         | `Done v -> (
-            match leader_atom st v with Some a -> a | None -> Pgvn.Hexpr.value st.arena v)
+            match leader st v with Some a -> a | None -> Pgvn.Hexpr.value st.arena v)
       in
       go v0 (-1)
   | _ -> atom
 
-let eval_operand st b v = Option.map (infer_value_at_block st b) (leader_atom st v)
+let eval_operand st b v = Option.map (infer_value_at_block st b) (leader st v)
 
 (* A decided claim as the engine records it, when both query operands are
    atoms. *)
